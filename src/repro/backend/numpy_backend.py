@@ -13,7 +13,11 @@ Reductions that feed normalizers and sampling tables (:meth:`total_mass`,
 :meth:`build_cdf`, :meth:`cumsum`) accumulate in ``float64`` — a
 ``float32`` cumsum over ``|X| = 10^6`` entries drifts to ``~1e-4``,
 well past the ``1e-6`` agreement contract, while per-element arithmetic
-stays comfortably inside it.
+stays comfortably inside it. The squared-family moments
+(:meth:`second_moment`, :meth:`cross_moment`) run in ``float64`` too:
+their entries scale with ``|x|²``, so on a 32-point universe of
+standard-normal features ``float32`` rounding of features, weights and
+partial sums already adds up to ``1.2e-6``.
 """
 
 from __future__ import annotations
@@ -167,6 +171,19 @@ class Float32Backend(NumpyBackend):
 
     def cumsum(self, values) -> np.ndarray:
         return np.cumsum(values, dtype=np.float64)
+
+    def second_moment(self, features, weights):
+        from repro.losses.squared import weighted_second_moment
+
+        return weighted_second_moment(self.to_float64(features),
+                                      self.to_float64(weights))
+
+    def cross_moment(self, features, weights, labels):
+        from repro.losses.squared import weighted_cross_moment
+
+        return weighted_cross_moment(self.to_float64(features),
+                                     self.to_float64(weights),
+                                     self.to_float64(labels))
 
 
 __all__ = ["Float32Backend", "NumpyBackend"]

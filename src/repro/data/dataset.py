@@ -8,12 +8,15 @@ single-index edit, which the privacy test-suite exercises heavily.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.data.histogram import Histogram
 from repro.data.universe import Universe
 from repro.exceptions import UniverseError, ValidationError
 from repro.utils.rng import as_generator
+from repro.utils.validation import byte_view
 
 
 class Dataset:
@@ -51,6 +54,7 @@ class Dataset:
         self._indices = indices
         self._indices.setflags(write=False)
         self._frozen_histogram: Histogram | None = None
+        self._digest: str | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -77,6 +81,7 @@ class Dataset:
         instance._universe = universe
         instance._indices = indices
         instance._frozen_histogram = frozen_histogram
+        instance._digest = None
         return instance
 
     @classmethod
@@ -122,15 +127,40 @@ class Dataset:
     def histogram(self) -> Histogram:
         """The normalized histogram representation of this dataset.
 
-        Datasets attached from shared memory carry a frozen,
-        pre-normalized histogram view and return it directly (the
-        weights are a zero-copy view of the supervisor's segment);
-        everything else recomputes from counts.
+        Built from the row counts on the first call and kept, so every
+        call returns the same read-only histogram (and shares its lazily
+        built caches, such as the compact support view). Datasets
+        attached from shared memory start with the supervisor's
+        pre-normalized weights as a zero-copy view of its segment.
+        Concurrent first calls may each count the rows; the histograms
+        they build are equal.
         """
-        if self._frozen_histogram is not None:
-            return self._frozen_histogram
-        counts = np.bincount(self._indices, minlength=self._universe.size)
-        return Histogram.from_counts(self._universe, counts)
+        histogram = self._frozen_histogram
+        if histogram is None:
+            counts = np.bincount(self._indices,
+                                 minlength=self._universe.size)
+            histogram = Histogram.from_counts(self._universe, counts)
+            self._frozen_histogram = histogram
+        return histogram
+
+    def digest(self) -> str:
+        """SHA-256 of the universe and the row multiset, memoized.
+
+        Row order is irrelevant (datasets are multisets), so indices are
+        sorted before hashing. The serving layer journals this digest in
+        ledger ``open`` records and snapshots, so a restore against
+        different data with a coincidentally equal universe size fails
+        loudly.
+        """
+        digest = self._digest
+        if digest is None:
+            hasher = hashlib.sha256()
+            hasher.update(byte_view(self._universe.points))
+            if self._universe.labels is not None:
+                hasher.update(byte_view(self._universe.labels))
+            hasher.update(byte_view(np.sort(self._indices)))
+            digest = self._digest = hasher.hexdigest()
+        return digest
 
     def replace_row(self, row: int, new_index: int) -> "Dataset":
         """Return the adjacent dataset with ``row`` replaced by ``new_index``.

@@ -9,9 +9,16 @@ update (Figure 3) is an operation on histograms:
 :class:`Histogram` makes that update a first-class, numerically careful
 operation (log-space accumulation), and provides the inner products,
 distances, and divergences the analysis uses.
+
+A dataset's histogram is typically sparse — ``n`` rows touch at most
+``n`` of ``|X|`` cells — so :meth:`Histogram.support_view` offers a
+compact view of the cells carrying mass, on which data-side loss
+evaluations run (see :class:`repro.losses.base.LossFunction`).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +42,19 @@ def mass_annihilation_error(detail: str) -> ValidationError:
         f"log-weight remains (|eta * direction| overflowed on every "
         f"positive-weight element)"
     )
+
+
+class SupportView(NamedTuple):
+    """The cells of a histogram that carry mass, as a histogram of its own.
+
+    ``histogram`` lives on the sub-universe ``points[indices]`` /
+    ``labels[indices]`` and carries exactly ``weights[indices]`` (no
+    renormalization), so any quantity that sums per-element terms
+    weighted by the histogram sums the same non-zero terms on either.
+    """
+
+    indices: np.ndarray
+    histogram: "Histogram"
 
 
 class Histogram:
@@ -68,6 +88,8 @@ class Histogram:
         self._weights = np.clip(weights, 0.0, None) / total
         self._weights.setflags(write=False)
         self._cdf: np.ndarray | None = None  # built lazily by sample_indices
+        # None until support_view first scans; False marks a dense one.
+        self._support: SupportView | bool | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -91,6 +113,7 @@ class Histogram:
         instance._backend = resolve_backend(backend)
         instance._weights = normalized
         instance._cdf = None
+        instance._support = None
         return instance
 
     @classmethod
@@ -132,6 +155,37 @@ class Histogram:
 
     def __getitem__(self, index: int) -> float:
         return float(self._weights[index])
+
+    def support_view(self) -> SupportView | None:
+        """The compact view of the cells with ``weights > 0``, or ``None``.
+
+        Offered only when at most half of the universe carries mass;
+        otherwise the first call pays one scan of the weights and every
+        call returns ``None``. Built once per (immutable) histogram and
+        published with a single attribute store, so concurrent first
+        callers may each build one, but none ever sees a half-built view.
+        """
+        support = self._support
+        if support is None:
+            support = self._build_support()
+            self._support = support
+        return support or None
+
+    def _build_support(self) -> SupportView | bool:
+        positive = self._weights > 0.0
+        if 2 * int(np.count_nonzero(positive)) > self._weights.shape[0]:
+            return False
+        indices = np.flatnonzero(positive)
+        indices.setflags(write=False)
+        universe = self._universe
+        labels = universe.labels
+        compact = Histogram._adopt_normalized(
+            Universe(points=universe.points[indices],
+                     labels=None if labels is None else labels[indices],
+                     name=f"{universe.name}[support]"),
+            self._weights[indices], backend=self._backend)
+        compact._support = False  # every one of its weights is positive
+        return SupportView(indices, compact)
 
     # -- algebra used by PMW ------------------------------------------------
 

@@ -2,9 +2,12 @@
 
 A :class:`Universe` enumerates the data domain ``X`` as an array of points in
 ``R^d``, optionally paired with scalar labels (so supervised losses such as
-regression can treat a universe element as an ``(x, y)`` example). All
-mechanism-side computation in this library is vectorized over the universe,
-matching the ``poly(|X|)`` computational model of Section 4.3 of the paper.
+regression can treat a universe element as an ``(x, y)`` example).
+Hypothesis-side computation is vectorized over the whole universe,
+matching the ``poly(|X|)`` computational model of Section 4.3 of the
+paper; data-side loss evaluations run over the dataset's support, a
+sub-universe of at most ``n`` elements (see
+:meth:`repro.data.histogram.Histogram.support_view`).
 """
 
 from __future__ import annotations

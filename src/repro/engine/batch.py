@@ -201,9 +201,10 @@ class CompiledBatch:
 
         Closed forms are batched through moment kernels
         (``linear-cm`` exactly, squared-family GLMs via one shared
-        universe-sized moment computation); every other loss goes through
-        the same :func:`~repro.optimize.minimize.minimize_loss` call the
-        scalar path makes, so results never diverge from it by more than
+        moment computation over the histogram's support); every other
+        loss goes through the same
+        :func:`~repro.optimize.minimize.minimize_loss` call the scalar
+        path makes, so results never diverge from it by more than
         reassociated floating point.
         """
         results: list[MinimizeResult | None] = [None] * len(self.queries)
@@ -304,13 +305,16 @@ def _glm_values(losses, thetas, histogram: Histogram) -> np.ndarray:
 
 def _squared_minima(losses, histogram: Histogram, *,
                     solver_steps: int) -> list[MinimizeResult]:
-    """Squared-loss data minima sharing one universe-sized moment pass.
+    """Squared-loss data minima sharing one moment pass.
 
     ``E[(x Rᵀ)(x Rᵀ)ᵀ] = R E[x xᵀ] Rᵀ`` and ``E[y (R x)] = R E[y x]``, so
     the batch pays for the moments once and each member solves a ``d×d``
-    trust-region subproblem. Members without the closed form's
-    preconditions (non-ball domain, unlabeled universe) fall back to
-    :func:`minimize_loss`, exactly as the scalar dispatch would.
+    trust-region subproblem. The pass runs on the histogram's compact
+    support when it has one (squared losses are pointwise), so a
+    dataset's moments cost ``O(n)``, not ``O(|X|)``. Members without the
+    closed form's preconditions (non-ball domain, unlabeled universe)
+    fall back to :func:`minimize_loss`, exactly as the scalar dispatch
+    would.
     """
     universe = histogram.universe
     labels = universe.labels
@@ -323,10 +327,11 @@ def _squared_minima(losses, histogram: Histogram, *,
                                          steps=solver_steps))
             continue
         if base_second is None:
-            base_second = kernels.second_moment(universe.points, histogram)
-            base_cross = kernels.cross_moment(universe.points, labels,
-                                              histogram)
-            label_second = float(histogram.weights @ (labels * labels))
+            data = loss.support_of(histogram)
+            points, data_labels = data.universe.points, data.universe.labels
+            base_second = kernels.second_moment(points, data)
+            base_cross = kernels.cross_moment(points, data_labels, data)
+            label_second = float(data.weights @ (data_labels * data_labels))
         rotation = loss.rotation
         if rotation is None:
             second, cross = base_second, base_cross

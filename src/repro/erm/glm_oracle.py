@@ -90,6 +90,8 @@ class _ProjectedGLM(GeneralizedLinearLoss):
     safety factor that the noise calibration uses.
     """
 
+    pointwise = True
+
     def __init__(self, base: GeneralizedLinearLoss, phi: np.ndarray) -> None:
         m, d = phi.shape
         if base.rotation is not None:

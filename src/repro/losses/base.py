@@ -3,8 +3,14 @@
 A CM query (Section 2.2) is a convex loss ``l : Theta × X -> R``; its answer
 on a dataset is ``argmin_theta E_{x~D}[l(theta; x)]``. :class:`LossFunction`
 is the library-wide contract: a loss evaluates its value and gradient
-*vectorized over the whole universe*, so dataset losses are histogram dot
+*vectorized over a universe*, so dataset losses are histogram dot
 products — exactly the representation the paper's algorithm works in.
+A :attr:`~LossFunction.pointwise` loss evaluates them over the cells of
+the histogram that carry mass (:meth:`Histogram.support_view
+<repro.data.histogram.Histogram.support_view>`) — for a dataset of ``n``
+rows at most ``n`` elements, however large ``X`` is; every other loss,
+and every histogram with mass on more than half of ``X`` (a hypothesis),
+evaluates over the whole universe.
 
 Traits a loss declares (used by Figure 3's parameter schedule and by the
 Section 4 applications):
@@ -43,6 +49,19 @@ class LossFunction(ABC):
     strong_convexity: float = 0.0
     #: Whether the loss is a generalized linear model in ``<theta, x>``.
     is_glm: bool = False
+    #: Whether ``l(theta; x)`` depends on nothing but element ``x``'s own
+    #: point and label (never its position in the universe). Dataset
+    #: evaluations of a pointwise loss run on the histogram's compact
+    #: support (:meth:`support_of`); the default keeps the universe-wide
+    #: path, which is correct for any loss. Each class makes the promise
+    #: in its own body — a subclass that does not is reset to ``False``
+    #: (it may override :meth:`values` positionally).
+    pointwise: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "pointwise" not in cls.__dict__:
+            cls.pointwise = False
 
     def __init__(self, domain: Domain, name: str = "loss") -> None:
         self.domain = domain
@@ -69,6 +88,20 @@ class LossFunction(ABC):
         """
         return None
 
+    def support_of(self, histogram: Histogram) -> Histogram:
+        """The histogram this loss evaluates ``histogram``'s quantities on.
+
+        The compact support view for a :attr:`pointwise` loss when
+        ``histogram`` offers one, else ``histogram`` itself. Either gives
+        the same sums up to floating-point reassociation: the view drops
+        only zero-weight terms.
+        """
+        if self.pointwise:
+            view = histogram.support_view()
+            if view is not None:
+                return view.histogram
+        return histogram
+
     def fingerprint(self) -> str:
         """Stable digest of the mathematical query this loss represents.
 
@@ -90,10 +123,12 @@ class LossFunction(ABC):
 
     def loss_on(self, theta: np.ndarray, histogram: Histogram) -> float:
         """``l(theta; D) = sum_x D(x) l(theta; x)`` (the paper's ``l_D``)."""
+        histogram = self.support_of(histogram)
         return histogram.dot(self.values(theta, histogram.universe))
 
     def gradient_on(self, theta: np.ndarray, histogram: Histogram) -> np.ndarray:
         """``grad l_D(theta) = sum_x D(x) grad l_x(theta)`` (gradient linearity)."""
+        histogram = self.support_of(histogram)
         gradients = self.gradients(theta, histogram.universe)
         if gradients.ndim != 2 or gradients.shape[0] != histogram.universe.size:
             raise LossSpecificationError(

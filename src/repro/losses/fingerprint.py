@@ -26,6 +26,7 @@ import struct
 import numpy as np
 
 from repro.exceptions import LossSpecificationError
+from repro.utils.validation import byte_view
 
 #: Attributes that never influence the mathematical query (display names
 #: and the memoized digest itself).
@@ -82,7 +83,7 @@ def _feed(hasher, obj) -> None:
         hasher.update(b"A" + struct.pack("<q", len(dtype)) + dtype)
         hasher.update(struct.pack("<q", array.ndim))
         hasher.update(struct.pack(f"<{array.ndim}q", *array.shape))
-        hasher.update(array.tobytes())
+        hasher.update(byte_view(array))
     elif isinstance(obj, (list, tuple)):
         hasher.update(b"L" + struct.pack("<q", len(obj)))
         for item in obj:

@@ -38,6 +38,8 @@ class GeneralizedLinearLoss(LossFunction):
 
     Subclasses implement :meth:`link` and :meth:`link_derivative`
     (vectorized over a margin array) and declare whether labels are needed.
+    A link is elementwise, so each library GLM declares
+    ``pointwise = True`` (see :attr:`LossFunction.pointwise`).
     """
 
     is_glm = True

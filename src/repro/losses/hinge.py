@@ -25,6 +25,7 @@ class HingeLoss(GeneralizedLinearLoss):
     active-side subgradient at the kink, which is also valid).
     """
 
+    pointwise = True
     link_derivative_bound = 1.0
 
     def __init__(self, domain: Domain, rotation: np.ndarray | None = None,
@@ -57,6 +58,8 @@ class HuberLoss(GeneralizedLinearLoss):
     otherwise. Smooth, ``delta``-Lipschitz in the margin, robust to label
     outliers — a standard intermediate between squared and absolute loss.
     """
+
+    pointwise = True
 
     def __init__(self, domain: Domain, delta: float = 0.5,
                  rotation: np.ndarray | None = None, name: str = "huber") -> None:

@@ -18,6 +18,7 @@ from repro.optimize.projections import Domain
 class LogisticLoss(GeneralizedLinearLoss):
     """Numerically stable logistic loss over a ``{-1, +1}``-labeled universe."""
 
+    pointwise = True
     link_derivative_bound = 1.0
 
     def __init__(self, domain: Domain, rotation: np.ndarray | None = None,

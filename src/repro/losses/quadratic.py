@@ -37,6 +37,7 @@ class QuadraticLoss(LossFunction):
     2-Lipschitz there.
     """
 
+    pointwise = True
     strong_convexity = 1.0
 
     def __init__(self, domain: Domain, transform: np.ndarray | None = None,
@@ -67,6 +68,7 @@ class QuadraticLoss(LossFunction):
 
     def exact_minimizer(self, histogram: Histogram) -> np.ndarray | None:
         """The dataset minimizer is the domain projection of ``E[P x]``."""
+        histogram = self.support_of(histogram)
         mean_target = self.targets(histogram.universe).T @ histogram.weights
         return self.domain.project(mean_target)
 
@@ -92,6 +94,11 @@ class RidgeRegularized(LossFunction):
             radius = base.domain.diameter() / 2.0
             self.lipschitz_bound = base.lipschitz_bound + self.lam * radius
 
+    @property
+    def pointwise(self) -> bool:
+        """The regularizer is data-independent: pointwise iff the base is."""
+        return self.base.pointwise
+
     def values(self, theta: np.ndarray, universe: Universe) -> np.ndarray:
         theta = self._check_theta(theta)
         penalty = 0.5 * self.lam * float(theta @ theta)
@@ -107,6 +114,7 @@ class RidgeRegularized(LossFunction):
             return None
         if not isinstance(self.domain, L2Ball):
             return None
+        histogram = self.support_of(histogram)
         features = self.base._features(histogram.universe)
         labels = histogram.universe.labels
         if labels is None:

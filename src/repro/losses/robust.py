@@ -34,6 +34,8 @@ class PinballLoss(GeneralizedLinearLoss):
     paper's subgradient remark allows).
     """
 
+    pointwise = True
+
     def __init__(self, domain: Domain, tau: float = 0.5,
                  rotation: np.ndarray | None = None,
                  name: str = "pinball") -> None:
@@ -68,6 +70,7 @@ class SmoothedHingeLoss(GeneralizedLinearLoss):
     ``m = y <theta, x>``).
     """
 
+    pointwise = True
     link_derivative_bound = 1.0
 
     def __init__(self, domain: Domain, gamma: float = 0.5,
@@ -114,6 +117,8 @@ class ExponentialLoss(GeneralizedLinearLoss):
     With the standard unit-ball setup margins never exceed 1, so the
     default clamp is inactive on-domain and only guards against misuse.
     """
+
+    pointwise = True
 
     def __init__(self, domain: Domain, clamp: float = 1.0,
                  rotation: np.ndarray | None = None,

@@ -38,6 +38,8 @@ def weighted_cross_moment(features: np.ndarray, weights: np.ndarray,
 class SquaredLoss(GeneralizedLinearLoss):
     """Scaled squared loss ``c (<theta, R x> - y)^2`` over a labeled universe."""
 
+    pointwise = True
+
     def __init__(self, domain: Domain, rotation: np.ndarray | None = None,
                  normalization: float = 0.25, name: str = "squared") -> None:
         super().__init__(domain, rotation=rotation, name=name)
@@ -64,6 +66,7 @@ class SquaredLoss(GeneralizedLinearLoss):
         """
         if not isinstance(self.domain, L2Ball):
             return None
+        histogram = self.support_of(histogram)
         features = self._features(histogram.universe)
         labels = histogram.universe.labels
         if labels is None:

@@ -29,13 +29,10 @@ Division of labor:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 import threading
-
-import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
 from repro.data.dataset import Dataset
@@ -210,7 +207,7 @@ class PMWService:
                     sid, mechanism, params, analyst=analyst,
                     dataset=dataset_name,
                     universe_size=data.universe.size,
-                    dataset_digest=dataset_digest(data),
+                    dataset_digest=data.digest(),
                     epsilon_budget=epsilon_budget,
                     delta_budget=delta_budget,
                 )
@@ -644,7 +641,7 @@ class PMWService:
         # while its spend is in the accountant (over-accounting, safe) —
         # never a cached answer whose spend is missing.
         cache_state = self.cache.to_state()
-        digests = {name: dataset_digest(data)
+        digests = {name: data.digest()
                    for name, data in self.datasets.items()}
         sessions = {}
         for sid in self.session_ids:
@@ -857,7 +854,7 @@ class PMWService:
                     analyst=session.analyst, dataset=session.dataset,
                     universe_size=(adopted_data.universe.size
                                    if adopted_data is not None else None),
-                    dataset_digest=(dataset_digest(adopted_data)
+                    dataset_digest=(adopted_data.digest()
                                     if adopted_data is not None else None),
                     epsilon_budget=accountant.epsilon_budget,
                     delta_budget=accountant.delta_budget,
@@ -936,7 +933,7 @@ class PMWService:
         dataset_name = self._resolve_dataset(record.get("dataset") or None)
         snapshotted_digest = record.get("dataset_digest")
         if (snapshotted_digest is not None and snapshotted_digest
-                != dataset_digest(self.datasets[dataset_name])):
+                != self.datasets[dataset_name].digest()):
             raise ValidationError(
                 f"session {record['session_id']!r} was snapshotted over a "
                 f"dataset with a different content digest than "
@@ -969,7 +966,7 @@ class PMWService:
             )
         journaled_digest = record.get("dataset_digest")
         if (journaled_digest is not None
-                and journaled_digest != dataset_digest(data)):
+                and journaled_digest != data.digest()):
             raise ValidationError(
                 f"session {sid!r} was journaled over a dataset with a "
                 f"different content digest than {dataset_name!r}; refusing "
@@ -1136,22 +1133,6 @@ class PMWService:
         )
 
 
-def dataset_digest(dataset: Dataset) -> str:
-    """Content digest of a private dataset (universe + row multiset).
-
-    Journaled in ledger ``open`` records so a restore against different
-    data with a coincidentally equal universe size still fails loudly.
-    Row order is irrelevant (datasets are multisets), so indices are
-    sorted before hashing.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(np.ascontiguousarray(dataset.universe.points).tobytes())
-    if dataset.universe.labels is not None:
-        hasher.update(np.ascontiguousarray(dataset.universe.labels).tobytes())
-    hasher.update(np.sort(dataset.indices).tobytes())
-    return hasher.hexdigest()
-
-
 #: Auto-minted ids end in ``-<counter>``; explicit ids may coincide.
 _ID_SUFFIX = re.compile(r"-(\d+)$")
 
@@ -1168,7 +1149,7 @@ def _max_id_counter(session_ids) -> int:
     return best
 
 
-__all__ = ["PMWService", "SNAPSHOT_FORMAT", "dataset_digest"]
+__all__ = ["PMWService", "SNAPSHOT_FORMAT"]
 
 
 def _check_journalable(session_id: str, params: dict) -> None:

@@ -47,6 +47,7 @@ is desynchronized and the handle must be retired.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pickle
 import struct
 
@@ -242,6 +243,11 @@ class _Encoder:
 class _Decoder:
     """Bounds-checked reader over one section's bytes.
 
+    Reads in place: a value's tag indexes :data:`_READERS` straight from
+    the buffer, fixed-width fields are ``struct.unpack_from`` calls at
+    the cursor, and only variable-length payloads (strings, bytes, array
+    data, fingerprints, pickles) are sliced out.
+
     ``table`` is the worker's :class:`~repro.serve.shard.interning.
     InternTable`; required to resolve ``_T_QREF`` (its ``lookup`` raises
     :class:`~repro.serve.shard.interning.InternMiss` for unknown
@@ -259,113 +265,129 @@ class _Decoder:
         self.allow_pickle = allow_pickle
         self.table = table
 
+    def value(self):
+        pos = self.pos
+        if pos >= self.end:
+            raise self._truncated(1)
+        self.pos = pos + 1
+        tag = self.buf[pos]
+        if tag >= len(_READERS):
+            raise FrameCorrupt(f"unknown value tag {tag}")
+        return _READERS[tag](self)
+
+    # -- cursor primitives --------------------------------------------------
+
+    def _truncated(self, count: int) -> FrameTruncated:
+        return FrameTruncated(
+            f"frame section ended {count - (self.end - self.pos)} "
+            f"bytes early")
+
+    def _byte(self) -> int:
+        pos = self.pos
+        if pos >= self.end:
+            raise self._truncated(1)
+        self.pos = pos + 1
+        return self.buf[pos]
+
+    def _fixed(self, codec: struct.Struct):
+        pos = self.pos
+        if self.end - pos < codec.size:
+            raise self._truncated(codec.size)
+        self.pos = pos + codec.size
+        return codec.unpack_from(self.buf, pos)[0]
+
     def _take(self, count: int) -> bytes:
-        if self.end - self.pos < count:
-            raise FrameTruncated(
-                f"frame section ended {count - (self.end - self.pos)} "
-                f"bytes early")
-        raw = bytes(self.buf[self.pos:self.pos + count])
-        self.pos += count
-        return raw
+        pos = self.pos
+        if self.end - pos < count:
+            raise self._truncated(count)
+        self.pos = pos + count
+        return bytes(self.buf[pos:pos + count])
 
-    def _u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+    def _sized(self) -> bytes:
+        """A u32 length, then that many payload bytes."""
+        return self._take(self._fixed(_U32))
 
-    def value(self):  # noqa: C901 - one branch per tag
-        tag = self._take(1)[0]
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return _I64.unpack(self._take(8))[0]
-        if tag == _T_BIGINT:
-            return int.from_bytes(self._take(self._u32()), "little",
-                                  signed=True)
-        if tag == _T_FLOAT:
-            return _F64.unpack(self._take(8))[0]
-        if tag == _T_STR:
-            raw = self._take(self._u32())
+    # -- one reader per type tag ---------------------------------------------
+
+    def _none(self):
+        return None
+
+    def _true(self):
+        return True
+
+    def _false(self):
+        return False
+
+    def _int(self):
+        return self._fixed(_I64)
+
+    def _bigint(self):
+        return int.from_bytes(self._sized(), "little", signed=True)
+
+    def _float(self):
+        return self._fixed(_F64)
+
+    def _str(self):
+        try:
+            return self._sized().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameCorrupt(f"invalid utf-8 in string: {exc}") from None
+
+    def _list(self):
+        return [self.value() for _ in range(self._fixed(_U32))]
+
+    def _tuple(self):
+        return tuple([self.value() for _ in range(self._fixed(_U32))])
+
+    def _dict(self):
+        out = {}
+        for _ in range(self._fixed(_U32)):
+            key = self.value()
             try:
-                return raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FrameCorrupt(f"invalid utf-8 in string: {exc}") \
-                    from None
-        if tag == _T_BYTES:
-            return self._take(self._u32())
-        if tag == _T_LIST:
-            return [self.value() for _ in range(self._u32())]
-        if tag == _T_TUPLE:
-            return tuple(self.value() for _ in range(self._u32()))
-        if tag == _T_DICT:
-            count = self._u32()
-            out = {}
-            for _ in range(count):
-                key = self.value()
-                try:
-                    out[key] = self.value()
-                except TypeError as exc:  # unhashable decoded key
-                    raise FrameCorrupt(f"unhashable dict key: {exc}") \
-                        from None
-            return out
-        if tag == _T_NDARRAY:
-            dtype_raw = self._take(self._take(1)[0])
-            try:
-                dtype = np.dtype(dtype_raw.decode("ascii"))
-            except (TypeError, ValueError, SyntaxError,
-                    UnicodeDecodeError):
-                # numpy parses comma-separated dtype strings through a
-                # literal-eval, so corrupt bytes can surface SyntaxError
-                # alongside the expected TypeError/ValueError.
-                raise FrameCorrupt(
-                    f"invalid ndarray dtype {dtype_raw!r}") from None
-            if dtype.hasobject:
-                raise FrameCorrupt("object-dtype ndarray on the wire")
-            if dtype.itemsize == 0:
-                # A zero-itemsize dtype (e.g. ``V0``) would zero out the
-                # payload-length check below and let absurd dims through
-                # to reshape.
-                raise FrameCorrupt(
-                    f"zero-itemsize ndarray dtype {dtype!r}")
-            ndim = self._take(1)[0]
-            shape = tuple(_I64.unpack(self._take(8))[0]
-                          for _ in range(ndim))
-            if any(dim < 0 for dim in shape):
-                raise FrameCorrupt(f"negative ndarray dim in {shape}")
-            count = 1
-            for dim in shape:
-                count *= dim
-            raw = self._take(count * dtype.itemsize)
-            try:
-                # frombuffer over the frame bytes: the array is a
-                # read-only view, no copy — results are treated as
-                # immutable values.
-                return np.frombuffer(raw, dtype=dtype).reshape(shape)
-            except ValueError as exc:
-                # The byte-length check above can pass while numpy still
-                # balks (a zero-product shape with one absurd dim).
-                raise FrameCorrupt(
-                    f"ndarray reconstruction failed: {exc}") from None
-        if tag == _T_RESULT:
-            fields = {name: self.value() for name in _RESULT_FIELDS}
-            return ServeResult(**fields)
-        if tag == _T_QREF:
-            fingerprint = self._take(FINGERPRINT_BYTES)
-            if self.table is None:
-                raise FrameCorrupt(
-                    "interned query reference but no intern table")
-            return self.table.lookup(fingerprint)
-        if tag == _T_QDEF:
-            fingerprint = self._take(FINGERPRINT_BYTES)
-            obj = self._unpickle(self._take(self._u32()))
-            if self.table is not None:
-                self.table.define(fingerprint, obj)
-            return obj
-        if tag == _T_PICKLE:
-            return self._unpickle(self._take(self._u32()))
-        raise FrameCorrupt(f"unknown value tag {tag}")
+                out[key] = self.value()
+            except TypeError as exc:  # unhashable decoded key
+                raise FrameCorrupt(f"unhashable dict key: {exc}") from None
+        return out
+
+    def _ndarray(self):
+        dtype = _wire_dtype(self._take(self._byte()))
+        ndim = self._byte()
+        shape = tuple([self._fixed(_I64) for _ in range(ndim)])
+        if any(dim < 0 for dim in shape):
+            raise FrameCorrupt(f"negative ndarray dim in {shape}")
+        count = 1
+        for dim in shape:
+            count *= dim
+        raw = self._take(count * dtype.itemsize)
+        try:
+            # frombuffer over the payload bytes: the array is a read-only
+            # view, no further copy — results are treated as immutable
+            # values.
+            return np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as exc:
+            # The byte-length check above can pass while numpy still
+            # balks (a zero-product shape with one absurd dim).
+            raise FrameCorrupt(
+                f"ndarray reconstruction failed: {exc}") from None
+
+    def _result(self):
+        return ServeResult(**{name: self.value() for name in _RESULT_FIELDS})
+
+    def _qref(self):
+        fingerprint = self._take(FINGERPRINT_BYTES)
+        if self.table is None:
+            raise FrameCorrupt("interned query reference but no intern table")
+        return self.table.lookup(fingerprint)
+
+    def _qdef(self):
+        fingerprint = self._take(FINGERPRINT_BYTES)
+        obj = self._unpickle(self._sized())
+        if self.table is not None:
+            self.table.define(fingerprint, obj)
+        return obj
+
+    def _pickle(self):
+        return self._unpickle(self._sized())
 
     def _unpickle(self, blob: bytes):
         if not self.allow_pickle:
@@ -377,6 +399,35 @@ class _Decoder:
         except Exception as exc:  # noqa: BLE001 - any unpickle failure
             raise FrameCorrupt(f"undecodable pickle section: {exc}") \
                 from None
+
+
+#: Value readers indexed by type tag (``_T_NONE`` .. ``_T_PICKLE``).
+_READERS = (
+    _Decoder._none, _Decoder._true, _Decoder._false, _Decoder._int,
+    _Decoder._bigint, _Decoder._float, _Decoder._str, _Decoder._sized,
+    _Decoder._list, _Decoder._tuple, _Decoder._dict, _Decoder._ndarray,
+    _Decoder._result, _Decoder._qref, _Decoder._qdef, _Decoder._pickle,
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _wire_dtype(raw: bytes) -> np.dtype:
+    """The ndarray dtype a frame names; parsed once per distinct name
+    (invalid names raise and are never cached)."""
+    try:
+        dtype = np.dtype(raw.decode("ascii"))
+    except (TypeError, ValueError, SyntaxError, UnicodeDecodeError):
+        # numpy parses comma-separated dtype strings through a
+        # literal-eval, so corrupt bytes can surface SyntaxError
+        # alongside the expected TypeError/ValueError.
+        raise FrameCorrupt(f"invalid ndarray dtype {raw!r}") from None
+    if dtype.hasobject:
+        raise FrameCorrupt("object-dtype ndarray on the wire")
+    if dtype.itemsize == 0:
+        # A zero-itemsize dtype (e.g. ``V0``) would zero out the
+        # payload-length check and let absurd dims through to reshape.
+        raise FrameCorrupt(f"zero-itemsize ndarray dtype {dtype!r}")
+    return dtype
 
 
 @dataclasses.dataclass(frozen=True)

@@ -365,6 +365,7 @@ class ShardedService:
         self._spawn_serial = 0
         self._ctx = _mp_context()
         self._lock = threading.Lock()
+        self._health_lock = threading.Lock()  # one health.json writer
         self._handles: dict[str, _ShardHandle] = {}
         self._sessions: dict[str, _SessionStub] = {}
         self._session_counter = 0
@@ -473,19 +474,23 @@ class ShardedService:
         shard_dir = self.shard_dir(shard_id)
         os.makedirs(shard_dir, exist_ok=True)
         path = os.path.join(shard_dir, HEALTH_FILE)
-        record = {
-            "format": _HEALTH_FORMAT,
-            "shard_id": shard_id,
-            "breaker": self._breakers[shard_id].state,
-            "deaths": self._death_counts[shard_id],
-            "restarts": self._restart_counts[shard_id],
-            "last_death_unix": self._last_death_unix[shard_id],
-            "updated_unix": time.time(),
-        }
         tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
+        # Writers race (the monitor noting a death while a caller
+        # restores): serialized, each replaces the file with the state
+        # current at its turn, and none loses its tmp file to another.
+        with self._health_lock:
+            record = {
+                "format": _HEALTH_FORMAT,
+                "shard_id": shard_id,
+                "breaker": self._breakers[shard_id].state,
+                "deaths": self._death_counts[shard_id],
+                "restarts": self._restart_counts[shard_id],
+                "last_death_unix": self._last_death_unix[shard_id],
+                "updated_unix": time.time(),
+            }
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(record, handle)
+            os.replace(tmp, path)
 
     def breaker_states(self) -> dict[str, str]:
         """``{shard_id: breaker state}`` for the whole deployment."""
@@ -504,9 +509,21 @@ class ShardedService:
     def _monitor_loop(self) -> None:
         while not self._closed:
             with self._lock:
-                watched = {handle.process.sentinel: handle
-                           for handle in self._handles.values()
-                           if handle.alive}
+                handles = list(self._handles.values())
+            if self.auto_restore:
+                # Restore every shard whose current incarnation's death
+                # is recorded — by this loop or by whoever saw it first
+                # (kill_shard notes a death itself).
+                for handle in handles:
+                    if handle.death_counted:
+                        try:
+                            self.restore_shard(handle.shard_id)
+                        except ValidationError:  # pragma: no cover - races close
+                            return
+            # Watch every incarnation whose death is not yet recorded,
+            # including one a caller already marked dead on EOF.
+            watched = {handle.process.sentinel: handle
+                       for handle in handles if not handle.death_counted}
             if not watched:
                 time.sleep(0.05)
                 continue
@@ -514,23 +531,26 @@ class ShardedService:
             if self._closed:
                 return
             for sentinel in ready:
-                handle = watched[sentinel]
-                self._note_death(handle)
-                if self.auto_restore and not self._closed:
-                    try:
-                        self.restore_shard(handle.shard_id)
-                    except ValidationError:  # pragma: no cover - races close
-                        return
+                self._note_death(watched[sentinel])
 
     def _note_death(self, handle: _ShardHandle) -> None:
         """Record a shard death exactly once per handle incarnation
         (the handle may already be marked dead by a caller thread that
-        got EOF mid-call — the counter must still tick)."""
+        got EOF mid-call — the counter must still tick).
+
+        Everything happens under the lock, so a second observer of the
+        same death (the monitor racing :meth:`kill_shard`) returns only
+        once the segment is unlinked and ``health.json`` records it.
+        """
         with self._lock:
             if handle.death_counted:
                 return
             handle.death_counted = True
-            handle.mark_dead()
+            # Wait out a call in flight (it ends promptly: the worker is
+            # dead, so its pipe reads EOF) rather than closing the pipe
+            # under it, which surfaces as an untyped error in its recv.
+            with handle.lock:
+                handle.mark_dead()
             self.registry.counter(
                 "shard.deaths", {"shard": handle.shard_id}).inc()
             self.registry.gauge(
@@ -538,13 +558,13 @@ class ShardedService:
             self._death_counts[handle.shard_id] += 1
             self._last_death_unix[handle.shard_id] = time.time()
             self._breakers[handle.shard_id].trip()
-        # The dead incarnation's shared-memory segment is garbage the
-        # moment the corpse is seen: the worker only ever held an
-        # attachment (reclaimed by the kernel with the process), so the
-        # supervisor unlinking here is what guarantees a SIGKILL'd
-        # worker never strands a segment.
-        handle.release_shm()
-        self._write_health(handle.shard_id)
+            # The dead incarnation's shared-memory segment is garbage the
+            # moment the corpse is seen: the worker only ever held an
+            # attachment (reclaimed by the kernel with the process), so
+            # the supervisor unlinking here is what guarantees a
+            # SIGKILL'd worker never strands a segment.
+            handle.release_shm()
+            self._write_health(handle.shard_id)
 
     def kill_shard(self, shard_id: str) -> int:
         """SIGKILL a shard process (chaos primitive). Returns the pid.

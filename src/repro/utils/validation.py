@@ -48,6 +48,16 @@ def root_base(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def byte_view(array: np.ndarray) -> np.ndarray:
+    """``array``'s C-order bytes as a flat ``uint8`` array, for hashing.
+
+    The same bytes as ``array.tobytes()``, without that copy when
+    ``array`` is already C-contiguous (a non-contiguous array is copied
+    once, as ``tobytes`` would). Hashers take the result as a buffer.
+    """
+    return np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+
+
 def check_finite_array(array, name: str, *, ndim: int | None = None) -> np.ndarray:
     """Coerce to ``ndarray`` of floats and require all entries finite."""
     array = np.asarray(array, dtype=float)

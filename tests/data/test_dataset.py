@@ -77,6 +77,27 @@ class TestHistogram:
         dataset = Dataset.uniform_random(universe, 57, rng=1)
         assert dataset.histogram().weights.sum() == pytest.approx(1.0)
 
+    def test_histogram_is_one_read_only_object(self, universe):
+        dataset = Dataset(universe, np.array([0, 0, 1, 3]))
+        histogram = dataset.histogram()
+        assert dataset.histogram() is histogram
+        with pytest.raises(ValueError):
+            histogram.weights[0] = 1.0
+        # An adjacent dataset is a new dataset with its own histogram.
+        neighbor = dataset.replace_row(0, 2)
+        assert neighbor.histogram() is not histogram
+        np.testing.assert_allclose(neighbor.histogram().weights,
+                                   [0.25, 0.25, 0.25, 0.25])
+
+
+class TestDigest:
+    def test_memoized_and_order_free(self, universe):
+        dataset = Dataset(universe, np.array([3, 0, 1, 0]))
+        digest = dataset.digest()
+        assert dataset.digest() is digest
+        assert Dataset(universe, np.array([0, 0, 1, 3])).digest() == digest
+        assert Dataset(universe, np.array([0, 1, 1, 3])).digest() != digest
+
 
 class TestAdjacency:
     def test_replace_row(self, universe):

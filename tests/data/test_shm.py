@@ -20,8 +20,14 @@ from repro.data.shm import (
     attach_datasets,
     segment_name,
 )
+from repro.data.synthetic import make_classification_dataset
+from repro.engine import batch_data_minima
 from repro.exceptions import ValidationError
-from repro.serve.service import dataset_digest
+from repro.losses.families import (
+    random_logistic_family,
+    random_squared_family,
+)
+from repro.optimize.minimize import minimize_loss
 
 
 @pytest.fixture
@@ -48,7 +54,7 @@ class TestRoundTrip:
         assert np.array_equal(attached.universe.points,
                               dataset.universe.points)
         # The ledger/checkpoint compatibility check sees no difference.
-        assert dataset_digest(attached) == dataset_digest(dataset)
+        assert attached.digest() == dataset.digest()
 
     def test_frozen_histogram_is_preattached_and_equal(self, dataset,
                                                        export):
@@ -88,8 +94,50 @@ class TestRoundTrip:
         try:
             attached = attach_datasets(handle.manifest)
             assert set(attached) == {"a", "b"}
-            assert dataset_digest(attached["a"]) == dataset_digest(dataset)
-            assert dataset_digest(attached["b"]) == dataset_digest(other)
+            assert attached["a"].digest() == dataset.digest()
+            assert attached["b"].digest() == other.digest()
+        finally:
+            handle.close()
+
+
+class TestSupportTwin:
+    """Shard workers evaluate on the attached histogram's support view;
+    it must be built from the same ``weights > 0`` as the in-process
+    one, so every data-side quantity is bitwise its twin's."""
+
+    @pytest.fixture
+    def sparse(self):
+        universe = make_classification_dataset(
+            n=100, d=3, universe_size=60, rng=5).universe
+        rng = np.random.default_rng(11)
+        return Dataset(universe, rng.choice(12, size=500))
+
+    def test_data_side_quantities_are_bitwise_equal(self, sparse):
+        handle = SharedDatasetExport(sparse, owner_pid=os.getpid(),
+                                     tag="test_shm_support")
+        try:
+            attached = attach_datasets(handle.manifest)["default"]
+            local, shared = sparse.histogram(), attached.histogram()
+            assert shared.support_view() is not None
+            assert np.array_equal(shared.support_view().indices,
+                                  local.support_view().indices)
+            losses = (random_squared_family(sparse.universe, 3, rng=1)
+                      + random_logistic_family(sparse.universe, 2, rng=2))
+            theta = np.array([0.3, -0.2, 0.1])
+            for loss in losses:
+                assert np.array_equal(loss.gradient_on(theta, shared),
+                                      loss.gradient_on(theta, local))
+                assert loss.loss_on(theta, shared) == \
+                    loss.loss_on(theta, local)
+                ours = minimize_loss(loss, shared, steps=60)
+                theirs = minimize_loss(loss, local, steps=60)
+                assert np.array_equal(ours.theta, theirs.theta)
+                assert ours.value == theirs.value
+            for ours, theirs in zip(
+                    batch_data_minima(losses, shared, solver_steps=60),
+                    batch_data_minima(losses, local, solver_steps=60)):
+                assert np.array_equal(ours.theta, theirs.theta)
+                assert ours.value == theirs.value
         finally:
             handle.close()
 
@@ -113,7 +161,7 @@ class TestLifecycle:
                                          tag="test_shm_stale")
             try:
                 attached = attach_datasets(second.manifest)["default"]
-                assert dataset_digest(attached) == dataset_digest(dataset)
+                assert attached.digest() == dataset.digest()
             finally:
                 second.close()
         finally:
