@@ -27,6 +27,18 @@ import numpy as np
 from repro.backend.base import ArrayBackend
 
 
+def _second_moment(features, weights):
+    """``E[x xᵀ] = Xᵀ diag(w) X`` — the one implementation of the
+    squared-family moment math; histograms memoize its result
+    (:meth:`repro.data.histogram.Histogram.sufficient_statistics`)."""
+    return (features * weights[:, None]).T @ features
+
+
+def _cross_moment(features, weights, labels):
+    """``E[y x] = Xᵀ (w ⊙ y)``."""
+    return features.T @ (weights * labels)
+
+
 class NumpyBackend(ArrayBackend):
     """The default ``float64`` backend (bitwise the historical code path).
 
@@ -118,19 +130,11 @@ class NumpyBackend(ArrayBackend):
         return self.asarray(points) @ self.asarray(parameters)
 
     def second_moment(self, features, weights):
-        # Lazy import: repro.losses sits above the data layer, which
-        # imports this package at module load.
-        from repro.losses.squared import weighted_second_moment
-
-        return weighted_second_moment(self.asarray(features),
-                                      self.asarray(weights))
+        return _second_moment(self.asarray(features), self.asarray(weights))
 
     def cross_moment(self, features, weights, labels):
-        from repro.losses.squared import weighted_cross_moment
-
-        return weighted_cross_moment(self.asarray(features),
-                                     self.asarray(weights),
-                                     self.asarray(labels))
+        return _cross_moment(self.asarray(features), self.asarray(weights),
+                             self.asarray(labels))
 
     # -- cached-CDF inverse sampling ---------------------------------------
 
@@ -173,17 +177,13 @@ class Float32Backend(NumpyBackend):
         return np.cumsum(values, dtype=np.float64)
 
     def second_moment(self, features, weights):
-        from repro.losses.squared import weighted_second_moment
-
-        return weighted_second_moment(self.to_float64(features),
-                                      self.to_float64(weights))
+        return _second_moment(self.to_float64(features),
+                              self.to_float64(weights))
 
     def cross_moment(self, features, weights, labels):
-        from repro.losses.squared import weighted_cross_moment
-
-        return weighted_cross_moment(self.to_float64(features),
-                                     self.to_float64(weights),
-                                     self.to_float64(labels))
+        return _cross_moment(self.to_float64(features),
+                             self.to_float64(weights),
+                             self.to_float64(labels))
 
 
 __all__ = ["Float32Backend", "NumpyBackend"]

@@ -221,12 +221,6 @@ class PrivateMWConvex:
         # staler starts still seed the solver but keep the full budget.
         self._warm_starts: OrderedDict[str,
                                        tuple[int, np.ndarray]] = OrderedDict()
-        # The current serving lane's closed-form-batchable losses, keyed
-        # by fingerprint (registered by prewarm, replaced per lane): on a
-        # hypothesis-minima miss for any lane member, the *whole* lane's
-        # hypothesis solves at the current version collapse into one
-        # shared-moment engine pass instead of one solve per round.
-        self._lane_minima: OrderedDict[str, LossFunction] = OrderedDict()
         self._answers: list[PMWAnswer] = []
         self._updates = 0
         self._history: list[dict] = []
@@ -416,34 +410,18 @@ class PrivateMWConvex:
         """Batch-populate the data-side minimization cache via the engine.
 
         ``min_theta l(theta; D)`` depends only on ``(loss, D)``, so a whole
-        batch of pending queries can pay for it up front in one vectorized
-        pass (:func:`repro.engine.batch_data_minima`): closed-form families
-        collapse into shared moment computations instead of one
-        universe-sized solve per query. Purely an evaluation-order change —
-        no privacy event happens here, the cached values are exactly what
-        :meth:`answer` would have computed lazily, and unfingerprintable or
-        non-loss queries are skipped (they keep their scalar path).
-
-        The lane is also registered for hypothesis-side batching: the
-        first hypothesis-minima miss for any lane member batch-solves
-        the whole lane at the current hypothesis version through the
-        same engine pass (see :meth:`_batch_hypothesis_minima`) — that
-        is how a coalesced gateway batch converts queue pressure into
-        the batched-kernel fast path end to end.
+        batch of pending queries can pay for it up front in one engine
+        pass (:func:`repro.engine.batch_data_minima`): embedded linear
+        queries share one moment computation, and every other loss pays
+        exactly the solve :meth:`answer` would. Purely an evaluation-order
+        change — no privacy event happens here, the cached values are
+        exactly what :meth:`answer` would have computed lazily, and
+        unfingerprintable or non-loss queries are skipped (they keep
+        their scalar path).
 
         Returns the number of cache entries added.
         """
-        from repro.engine import batch_data_minima, closed_form_minima
-
-        self._lane_minima = OrderedDict()
-        if self._core is not None:
-            for loss in closed_form_minima(
-                    [q for q in losses if isinstance(q, LossFunction)],
-                    universe=self._data_histogram.universe):
-                key = self._loss_key(loss)
-                if key is not None and len(self._lane_minima) < \
-                        self.ROUND_CACHE_LIMIT:
-                    self._lane_minima.setdefault(key, loss)
+        from repro.engine import batch_data_minima
 
         fresh: list[LossFunction] = []
         seen: set[str] = set()
@@ -815,17 +793,6 @@ class PrivateMWConvex:
         if self._core is not None and key is not None:
             minima_key = (key, self._core.version)
             hit = self._hypothesis_minima.get(minima_key)
-            if hit is None and key in self._lane_minima:
-                # A registered lane member missed at this version: solve
-                # the whole *remaining* lane's hypothesis minima in one
-                # shared-moment engine pass, then re-read.
-                self._batch_hypothesis_minima()
-                hit = self._hypothesis_minima.get(minima_key)
-            # Served entries leave the lane, so a mid-lane MW update
-            # re-batches only the queries still ahead in the stream —
-            # never the already-served prefix (whose re-solves would be
-            # pure waste: O(lane^2) on an update-heavy stream).
-            self._lane_minima.pop(key, None)
             if hit is not None:
                 self._hypothesis_minima.move_to_end(minima_key)
                 return hit
@@ -849,42 +816,6 @@ class PrivateMWConvex:
             while len(self._warm_starts) > self.DATA_MINIMA_LIMIT:
                 self._warm_starts.popitem(last=False)
         return result
-
-    def _batch_hypothesis_minima(self) -> int:
-        """Batch-solve the registered lane's hypothesis minima at the
-        current version (one engine pass; see :meth:`prewarm`).
-
-        Pure post-processing of the public hypothesis — no privacy
-        event, and each stored result is what the scalar closed-form
-        dispatch would produce up to floating-point reassociation. An MW
-        update bumps the version and the *next* lane miss re-batches the
-        remaining entries, so an update-heavy prefix degrades gracefully
-        toward the scalar path instead of wasting whole-lane solves.
-
-        Returns the number of entries batch-solved (0 when the lane has
-        fewer than two pending entries — the scalar path, with its
-        warm-start advantage, handles singletons).
-        """
-        from repro.engine import batch_data_minima
-
-        version = self._core.version
-        pending = [(key, loss) for key, loss in self._lane_minima.items()
-                   if (key, version) not in self._hypothesis_minima]
-        if len(pending) < 2:
-            return 0
-        results = batch_data_minima([loss for _, loss in pending],
-                                    self.hypothesis,
-                                    solver_steps=self.solver_steps)
-        for (key, _), result in zip(pending, results):
-            self._hypothesis_minima[(key, version)] = result
-            if self.warm_start:
-                self._warm_starts[key] = (version, result.theta)
-                self._warm_starts.move_to_end(key)
-        while len(self._hypothesis_minima) > self.ROUND_CACHE_LIMIT:
-            self._hypothesis_minima.popitem(last=False)
-        while len(self._warm_starts) > self.DATA_MINIMA_LIMIT:
-            self._warm_starts.popitem(last=False)
-        return len(pending)
 
     def _round_breakdown(self, loss: LossFunction, key: str | None,
                          data_result) -> DatabaseErrorBreakdown:

@@ -23,8 +23,7 @@ runs every heavy operation shard-by-shard:
 Shard passes optionally run on a thread pool (``workers > 1``): numpy
 releases the GIL inside its ufunc loops, so large shards exponentiate and
 reduce in parallel. For laptop-scale universes the dense class is faster —
-sharding is for the ≥10^6-element regime (see
-``benchmarks/bench_batch_engine.py`` for measured numbers).
+sharding is for the ≥10^6-element regime.
 
 Results agree with the dense implementation: the multiplicative update is
 the same log-space computation (the global max-shift is the max of the

@@ -8,9 +8,9 @@ the ROADMAP's "fast as the hardware allows" north star targets:
 
 - :mod:`repro.engine.kernels` — per-family vectorized kernels: the
   loss-matrix layout for linear queries (one matvec answers the whole
-  batch), the margin-matrix layout for GLM losses (one ``|X|×d @ d×B``
-  matmul replaces ``B`` per-query feature products), and shared moment
-  kernels for squared-family closed forms.
+  batch) and the margin-matrix layout for GLM losses (one ``|X|×d @
+  d×B`` matmul replaces ``B`` per-query feature products). Squared
+  losses need neither: they read moments memoized per histogram.
 - :mod:`repro.engine.batch` — :func:`compile_batch` groups a
   heterogeneous batch by kernel family; :func:`batch_answers`,
   :func:`batch_loss_on`, and :func:`batch_data_minima` evaluate it in one
@@ -28,7 +28,7 @@ through the loss-matrix layout (recomputing only the suffix after each MW
 update); the serving layer's batch planner hands mechanism lanes to the
 engine before executing them, and the serving gateway
 (:mod:`repro.serve.gateway`) coalesces queued concurrent requests into
-exactly such lanes — sustained load converts into batched kernel work.
+exactly such lanes.
 Large universes pair the engine with
 :class:`~repro.data.sharded.ShardedHistogram`, whose updates and
 reductions run shard-by-shard.
@@ -36,8 +36,8 @@ reductions run shard-by-shard.
 Agreement with the scalar path is a contract, not an accident: every
 kernel computes the same quantity through a reassociated product, and
 ``tests/property/test_batch_agreement.py`` pins batched-vs-scalar
-divergence below ``1e-10``. ``benchmarks/bench_batch_engine.py`` measures
-the speedups (≥3x on a 64-query GLM batch is the regression bar).
+divergence below ``1e-10``. The benchmark of record (``perfbench/``)
+times the batch paths end to end: ``batch_p50_ms`` per workload.
 """
 
 from repro.engine.batch import (
@@ -45,7 +45,6 @@ from repro.engine.batch import (
     batch_answers,
     batch_data_minima,
     batch_loss_on,
-    closed_form_minima,
     compile_batch,
     dedupe_by_fingerprint,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "batch_answers",
     "batch_loss_on",
     "batch_data_minima",
-    "closed_form_minima",
     "dedupe_by_fingerprint",
     "VersionedBatchEvaluator",
     "kernels",

@@ -11,16 +11,20 @@ group             members                                        kernel
 ================  =============================================  ===========
 ``linear``        ``LinearQuery``                                loss matrix
 ``linear-cm``     ``LinearQueryAsCM``                            moments
-``glm``           ``SquaredLoss`` / ``LogisticLoss`` /           margin
-                  ``HingeLoss`` / ``HuberLoss`` (exact type,     matrix
-                  matching link parameters)
+``glm``           ``LogisticLoss`` / ``HingeLoss`` /             margin
+                  ``HuberLoss`` (exact type, matching link       matrix
+                  parameters)
 ``fallback``      everything else                                per-query
 ================  =============================================  ===========
 
 Grouping is by *exact* type plus the link parameters the kernel depends
 on, so a subclass with an overridden link never silently rides a kernel
 that does not match its math — it falls back to the per-query path, which
-is always correct.
+is always correct. Squared losses take the per-query path too: each
+reads its histogram's memoized sufficient statistics
+(:meth:`~repro.losses.squared.SquaredLoss.moments`), which is ``O(d²)``
+per loss and ``O(d³)`` per minimizer once the first query at a histogram
+has paid the moment pass.
 
 Results agree with the scalar path up to floating-point associativity
 (``~1e-12`` absolute in practice; the property tests in
@@ -42,11 +46,8 @@ from repro.exceptions import ValidationError
 from repro.losses.hinge import HingeLoss, HuberLoss
 from repro.losses.linear import LinearQuery, LinearQueryAsCM
 from repro.losses.logistic import LogisticLoss
-from repro.losses.squared import SquaredLoss
 from repro.obs import trace
-from repro.optimize.exact import minimize_quadratic_over_ball
 from repro.optimize.minimize import MinimizeResult, minimize_loss
-from repro.optimize.projections import L2Ball
 
 __all__ = [
     "CompiledBatch",
@@ -54,7 +55,6 @@ __all__ = [
     "batch_answers",
     "batch_loss_on",
     "batch_data_minima",
-    "closed_form_minima",
     "dedupe_by_fingerprint",
 ]
 
@@ -67,7 +67,6 @@ _FALLBACK = "fallback"
 #: The key function returns the link parameters that must match for two
 #: instances to share one vectorized link evaluation.
 _GLM_FAMILIES = {
-    SquaredLoss: lambda loss: (loss.normalization,),
     LogisticLoss: lambda loss: (),
     HingeLoss: lambda loss: (),
     HuberLoss: lambda loss: (loss.delta,),
@@ -199,10 +198,8 @@ class CompiledBatch:
                     solver_steps: int = 400) -> list[MinimizeResult]:
         """Batched ``argmin_theta l(theta; D)`` per query.
 
-        Closed forms are batched through moment kernels
-        (``linear-cm`` exactly, squared-family GLMs via one shared
-        moment computation over the histogram's support); every other
-        loss goes through the same
+        ``linear-cm`` closed forms are batched through query moments;
+        every other loss goes through the same
         :func:`~repro.optimize.minimize.minimize_loss` call the scalar
         path makes, so results never diverge from it by more than
         reassociated floating point.
@@ -216,10 +213,6 @@ class CompiledBatch:
                 )
             if group.kind == _LINEAR_CM:
                 minima = _linear_cm_minima(group, histogram)
-            elif (group.kind == _GLM
-                    and type(group.members[0]) is SquaredLoss):
-                minima = _squared_minima(group.members, histogram,
-                                         solver_steps=solver_steps)
             else:
                 minima = [minimize_loss(loss, histogram, steps=solver_steps)
                           for loss in group.members]
@@ -266,21 +259,23 @@ def _linear_cm_minima(group: _Group,
 #: Universe rows per block in the margin-matrix evaluation. The block's
 #: margin and value matrices (``block × B``) stay cache-resident, so the
 #: batch streams the universe points exactly once instead of materializing
-#: (and re-reading) two ``|X| × B`` temporaries — this blocking, not the
-#: matmul alone, is where the ≥3x of ``benchmarks/bench_batch_engine.py``
-#: comes from on cheap-link families.
+#: (and re-reading) two ``|X| × B`` temporaries — on cheap-link families
+#: this blocking saves as much as the matmul does.
 GLM_BLOCK_ROWS = 2048
 
 
 def _glm_values(losses, thetas, histogram: Histogram) -> np.ndarray:
     """Margin-matrix evaluation of a same-link GLM group, universe-blocked.
 
-    Per block of universe rows: one ``block×d @ d×B`` matmul, one
+    Runs on the histogram's compact support when it has one (the library
+    GLMs are pointwise), exactly as each member's scalar ``loss_on``
+    does. Per block of rows: one ``block×d @ d×B`` matmul, one
     vectorized link evaluation, one ``wᵀV`` accumulation. Summation is
     reassociated across blocks (``~1e-15`` vs the scalar path).
     """
-    universe = histogram.universe
     prototype = losses[0]
+    histogram = prototype.support_of(histogram)
+    universe = histogram.universe
     for loss in losses:  # same incompatibility error as the scalar path
         loss.check_universe_dim(universe)
     parameters = kernels.glm_parameter_matrix(losses, thetas)
@@ -301,51 +296,6 @@ def _glm_values(losses, thetas, histogram: Histogram) -> np.ndarray:
         values = prototype.link(margins, block_labels)
         out += weights[start:stop] @ values
     return out
-
-
-def _squared_minima(losses, histogram: Histogram, *,
-                    solver_steps: int) -> list[MinimizeResult]:
-    """Squared-loss data minima sharing one moment pass.
-
-    ``E[(x Rᵀ)(x Rᵀ)ᵀ] = R E[x xᵀ] Rᵀ`` and ``E[y (R x)] = R E[y x]``, so
-    the batch pays for the moments once and each member solves a ``d×d``
-    trust-region subproblem. The pass runs on the histogram's compact
-    support when it has one (squared losses are pointwise), so a
-    dataset's moments cost ``O(n)``, not ``O(|X|)``. Members without the
-    closed form's preconditions (non-ball domain, unlabeled universe)
-    fall back to :func:`minimize_loss`, exactly as the scalar dispatch
-    would.
-    """
-    universe = histogram.universe
-    labels = universe.labels
-    base_second = None
-    results = []
-    for loss in losses:
-        loss.check_universe_dim(universe)  # scalar-path error parity
-        if not isinstance(loss.domain, L2Ball) or labels is None:
-            results.append(minimize_loss(loss, histogram,
-                                         steps=solver_steps))
-            continue
-        if base_second is None:
-            data = loss.support_of(histogram)
-            points, data_labels = data.universe.points, data.universe.labels
-            base_second = kernels.second_moment(points, data)
-            base_cross = kernels.cross_moment(points, data_labels, data)
-            label_second = float(data.weights @ (data_labels * data_labels))
-        rotation = loss.rotation
-        if rotation is None:
-            second, cross = base_second, base_cross
-        else:
-            second = rotation @ base_second @ rotation.T
-            cross = rotation @ base_cross
-        c = loss.normalization
-        theta = minimize_quadratic_over_ball(
-            2.0 * c * second, -2.0 * c * cross, loss.domain)
-        theta = loss.domain.project(np.asarray(theta, dtype=float))
-        value = c * (theta @ second @ theta - 2.0 * (cross @ theta)
-                     + label_second)
-        results.append(MinimizeResult(theta, float(value), True))
-    return results
 
 
 # -- functional façade -----------------------------------------------------
@@ -374,34 +324,6 @@ def batch_data_minima(losses, histogram: Histogram, *,
     with trace.span("engine.batch_minima", losses=len(losses)):
         return compile_batch(losses).data_minima(histogram,
                                                  solver_steps=solver_steps)
-
-
-def closed_form_minima(queries, *, universe=None):
-    """The subset of ``queries`` whose batched :func:`batch_data_minima`
-    dispatch is a *shared* closed-form kernel (squared-family GLMs via
-    one moment computation, embedded linear queries) rather than the
-    per-query fallback solver.
-
-    Consumers use this to decide which lane entries are worth
-    batch-minimizing eagerly: for fallback-family losses an eager batch
-    would pay the same per-query solves the lazy path pays — possibly
-    more, since the lazy path can warm-start — so eager batching only
-    wins where a kernel genuinely shares work. The filter mirrors
-    :func:`_squared_minima`'s own preconditions: squared losses over a
-    non-ball domain fall back per query, as do all of them when the
-    ``universe`` the consumer will solve against carries no labels
-    (pass it to enforce that; ``None`` skips the label check).
-    """
-    labeled = universe is None or universe.labels is not None
-    keep = []
-    for query in queries:
-        kind = _family_key(query)[0]
-        if kind == _LINEAR_CM:
-            keep.append(query)
-        elif (kind == _GLM and type(query) is SquaredLoss and labeled
-                and isinstance(query.domain, L2Ball)):
-            keep.append(query)
-    return keep
 
 
 def dedupe_by_fingerprint(queries, *, skip=()):

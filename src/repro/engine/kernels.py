@@ -13,13 +13,12 @@ per query. The layouts:
   theta_j)``, so projecting every parameter first (``B`` tiny ``d×d``
   products) collapses the batch into one ``|X|×d @ d×B`` matmul producing
   the margin matrix ``M ∈ R^{|X|×B}``, followed by one vectorized link
-  evaluation — roughly a factor-``d`` flop saving, which is what the
-  ≥3x requirement of ``benchmarks/bench_batch_engine.py`` rides on.
-- **Moment kernels** (squared-family closed forms): the data-side
-  minimizer of a squared loss needs ``E[x xᵀ]`` and ``E[y x]`` in the
-  *rotated* features — but ``R (E[x xᵀ]) Rᵀ`` lets a whole batch share
-  one universe-sized moment computation, leaving only ``d×d`` work per
-  query.
+  evaluation — roughly a factor-``d`` flop saving.
+
+Squared losses need no kernel here: their moments ``E[x xᵀ]`` and
+``E[y x]`` are memoized per histogram
+(:meth:`repro.data.histogram.Histogram.sufficient_statistics`), so every
+query after the first at a histogram costs ``d×d`` work on its own.
 
 Kernels are pure functions over arrays; grouping queries into families is
 :mod:`repro.engine.batch`'s job.
@@ -40,8 +39,6 @@ __all__ = [
     "linear_answers",
     "glm_parameter_matrix",
     "glm_margin_matrix",
-    "second_moment",
-    "cross_moment",
 ]
 
 
@@ -163,22 +160,3 @@ def glm_margin_matrix(points: np.ndarray, parameters: np.ndarray,
     if backend is None:
         return points @ parameters
     return backend.matmul(points, parameters)
-
-
-def second_moment(features: np.ndarray, histogram: Histogram) -> np.ndarray:
-    """``E[x xᵀ]`` — shared across a squared-loss batch.
-
-    Delegates to the histogram backend's moment kernel (the NumPy
-    default is :func:`repro.losses.squared.weighted_second_moment`), so
-    the batched closed form and the scalar one are the same math by
-    construction.
-    """
-    return backend_of(histogram).second_moment(features, histogram.weights)
-
-
-def cross_moment(features: np.ndarray, labels: np.ndarray,
-                 histogram: Histogram) -> np.ndarray:
-    """``E[y x]`` — shared across a squared-loss batch (same delegation
-    as :func:`second_moment`)."""
-    return backend_of(histogram).cross_moment(features, histogram.weights,
-                                              labels)

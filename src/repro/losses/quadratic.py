@@ -9,7 +9,7 @@ implementations:
 - :class:`RidgeRegularized` — wraps any loss with ``+ (lam/2)||theta||^2``,
   raising its strong convexity by ``lam``; when the base loss is
   :class:`~repro.losses.squared.SquaredLoss` over a ball the minimizer stays
-  in closed form.
+  in closed form, read from the base's memoized moments.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ import numpy as np
 from repro.data.histogram import Histogram
 from repro.data.universe import Universe
 from repro.losses.base import LossFunction
-from repro.losses.squared import (
-    SquaredLoss,
-    weighted_cross_moment,
-    weighted_second_moment,
-)
+from repro.losses.squared import SquaredLoss
 from repro.optimize.exact import minimize_quadratic_over_ball
 from repro.optimize.projections import Domain, L2Ball
 from repro.utils.validation import check_finite_array, check_positive
@@ -108,20 +104,23 @@ class RidgeRegularized(LossFunction):
         theta = self._check_theta(theta)
         return self.base.gradients(theta, universe) + self.lam * theta[None, :]
 
+    def loss_on(self, theta: np.ndarray, histogram: Histogram) -> float:
+        """The base's dataset loss plus the data-independent penalty."""
+        theta = self._check_theta(theta)
+        return (self.base.loss_on(theta, histogram)
+                + 0.5 * self.lam * float(theta @ theta))
+
     def exact_minimizer(self, histogram: Histogram) -> np.ndarray | None:
         """Closed form when the base is :class:`SquaredLoss` over a ball."""
         if not isinstance(self.base, SquaredLoss):
             return None
         if not isinstance(self.domain, L2Ball):
             return None
-        histogram = self.support_of(histogram)
-        features = self.base._features(histogram.universe)
-        labels = histogram.universe.labels
-        if labels is None:
+        moments = self.base.moments(histogram)
+        if moments is None:
             return None
-        weights = histogram.weights
+        second, cross = moments
         c = self.base.normalization
-        second_moment = weighted_second_moment(features, weights)
-        quadratic = 2.0 * c * second_moment + self.lam * np.eye(self.domain.dim)
-        linear = -2.0 * c * weighted_cross_moment(features, weights, labels)
-        return minimize_quadratic_over_ball(quadratic, linear, self.domain)
+        quadratic = 2.0 * c * second + self.lam * np.eye(self.domain.dim)
+        return minimize_quadratic_over_ball(quadratic, -2.0 * c * cross,
+                                            self.domain)

@@ -2,8 +2,8 @@
 
 The serving stack needs three things its original ``GatewayMetrics``
 could not provide: a *wide-dynamic-range* latency histogram (the old
-fixed geometric buckets saturated at 3276.8 ms, so E19's p99 was
-literally the overflow bucket), a *shared namespace* so gateway,
+fixed geometric buckets saturated at 3276.8 ms, so a sustained-load
+p99 was literally the overflow bucket), a *shared namespace* so gateway,
 mechanism, and budget telemetry land in one scrape-able place, and a
 *text exposition* format an operator can point Prometheus at. This
 module is dependency-free (stdlib only) and thread-safe.

@@ -15,8 +15,7 @@ shares one namespace — and one Prometheus exposition — with mechanism
 spans and privacy-budget telemetry. Pass your own ``registry=`` to get
 that unified view; the default constructs a private one. The public
 surface (attributes, :meth:`snapshot` schema, :meth:`describe`,
-:meth:`to_json`) is unchanged, so E19 and existing dashboards keep
-working.
+:meth:`to_json`) is unchanged, so existing dashboards keep working.
 
 :class:`LatencyHistogram` is now a log-scale histogram
 (:class:`repro.obs.LogScaleHistogram`): 100 ns–10 000 s range at 20

@@ -1,6 +1,6 @@
 """`ShardedService` — sessions partitioned across worker processes.
 
-The single-process gateway (E19) tops out near 257 rps because every
+The single-process gateway tops out near 257 rps because every
 multiplicative-weights update competes for one GIL. This module escapes
 it: sessions are partitioned across ``shards`` worker **processes** by
 consistent-hash routing (:mod:`~repro.serve.shard.router`), each shard

@@ -27,6 +27,7 @@ from repro.losses.families import (
     random_logistic_family,
     random_squared_family,
 )
+from repro.losses.quadratic import RidgeRegularized
 from repro.optimize.minimize import minimize_loss
 
 
@@ -136,6 +137,37 @@ class TestSupportTwin:
             for ours, theirs in zip(
                     batch_data_minima(losses, shared, solver_steps=60),
                     batch_data_minima(losses, local, solver_steps=60)):
+                assert np.array_equal(ours.theta, theirs.theta)
+                assert ours.value == theirs.value
+        finally:
+            handle.close()
+
+    def test_moment_memo_and_minimizers_are_bitwise_equal(self, sparse):
+        """Squared losses read the support view's memoized moments; the
+        attached histogram computes them with the same code, so they and
+        every closed-form answer are bitwise the in-process twin's."""
+        handle = SharedDatasetExport(sparse, owner_pid=os.getpid(),
+                                     tag="test_shm_moments")
+        try:
+            attached = attach_datasets(handle.manifest)["default"]
+            local, shared = sparse.histogram(), attached.histogram()
+            for ours, theirs in zip(
+                    shared.support_view().histogram.sufficient_statistics(),
+                    local.support_view().histogram.sufficient_statistics()):
+                assert np.array_equal(ours, theirs)
+            squared = random_squared_family(sparse.universe, 3, rng=4)
+            losses = squared + [RidgeRegularized(squared[0], lam=0.2)]
+            theta = np.array([0.3, -0.2, 0.1])
+            for loss in losses:
+                assert loss.loss_on(theta, shared) == \
+                    loss.loss_on(theta, local)
+                ours = minimize_loss(loss, shared)
+                theirs = minimize_loss(loss, local)
+                assert ours.exact and theirs.exact
+                assert np.array_equal(ours.theta, theirs.theta)
+                assert ours.value == theirs.value
+            for ours, theirs in zip(batch_data_minima(losses, shared),
+                                    batch_data_minima(losses, local)):
                 assert np.array_equal(ours.theta, theirs.theta)
                 assert ours.value == theirs.value
         finally:

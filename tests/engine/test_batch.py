@@ -20,6 +20,8 @@ from repro.losses.families import (
     random_quadratic_family,
     random_squared_family,
 )
+from repro.losses.hinge import HuberLoss
+from repro.losses.squared import SquaredLoss
 from repro.optimize.minimize import minimize_loss
 from repro.optimize.projections import L2Ball
 
@@ -49,7 +51,8 @@ class TestGrouping:
                   + random_quadratic_family(task.universe, 1, rng=4))
         batch = compile_batch(losses)
         kinds = sorted(batch.group_kinds)
-        assert kinds == ["fallback", "glm", "glm", "linear-cm"]
+        # squared losses read memoized moments per query: no margin kernel
+        assert kinds == ["fallback", "glm", "linear-cm"]
         assert len(batch) == len(losses)
 
     def test_squared_normalizations_do_not_mix(self, task):
@@ -57,8 +60,12 @@ class TestGrouping:
                                   normalization=0.25)
         b = random_squared_family(task.universe, 2, rng=6,
                                   normalization=0.125)
-        batch = compile_batch(a + b)
-        assert batch.group_kinds.count("glm") == 2
+        # each squared loss evaluates on its own, whatever its scale
+        assert compile_batch(a + b).group_kinds == ["fallback"]
+        # a link parameter still splits margin-kernel groups
+        domain = L2Ball(task.universe.dim)
+        huber = [HuberLoss(domain, delta=0.5), HuberLoss(domain, delta=1.0)]
+        assert compile_batch(huber).group_kinds == ["glm", "glm"]
 
     def test_subclass_takes_fallback(self, task):
         class TweakedLogistic(random_logistic_family(task.universe, 1,
@@ -104,6 +111,41 @@ class TestLossValues:
         queries = random_linear_queries(task.universe, 2, rng=19)
         with pytest.raises(ValidationError, match="linear_answers"):
             batch_loss_on(queries, [np.zeros(1)] * 2, histogram)
+
+
+class TestGlmSupportView:
+    """The margin kernel runs on the histogram's compact support, as each
+    member's scalar ``loss_on`` does, not on the whole universe."""
+
+    def test_margin_kernel_sees_only_support_rows(self, monkeypatch):
+        from repro.data.histogram import Histogram
+        from repro.engine import kernels
+
+        universe = make_classification_dataset(n=100, d=4,
+                                               universe_size=400,
+                                               rng=8).universe
+        rng = np.random.default_rng(9)
+        weights = np.zeros(universe.size)
+        cells = rng.choice(universe.size, size=30, replace=False)
+        weights[cells] = rng.uniform(0.5, 2.0, size=cells.size)
+        histogram = Histogram(universe, weights)
+        losses = (random_logistic_family(universe, 5, rng=10)
+                  + random_hinge_family(universe, 4, rng=11))
+        thetas = _thetas(losses, 12)
+        rows = []
+        margin_matrix = kernels.glm_margin_matrix
+
+        def spy(points, parameters, backend=None):
+            rows.append(points.shape[0])
+            return margin_matrix(points, parameters, backend=backend)
+
+        monkeypatch.setattr(kernels, "glm_margin_matrix", spy)
+        batched = batch_loss_on(losses, thetas, histogram)
+        scalar = [loss.loss_on(theta, histogram)
+                  for loss, theta in zip(losses, thetas)]
+        np.testing.assert_allclose(batched, scalar, rtol=0, atol=1e-10)
+        # one block per family, each over the 30 support rows
+        assert rows == [cells.size, cells.size]
 
 
 class TestLinearAnswers:
@@ -203,28 +245,47 @@ class TestCompiledBatchReuse:
         assert group.squared_tables() is cached  # reused, not rebuilt
 
 
-class TestClosedFormMinima:
-    def test_filters_to_shared_kernel_families(self, task):
-        from repro.engine import closed_form_minima
-        from repro.losses.families import linear_queries_as_cm
+class TestPrewarmedLanes:
+    """A mechanism that prewarms a lane through the engine answers it
+    exactly as a cold twin that solves every round lazily."""
 
-        squared = random_squared_family(task.universe, 2, rng=40)
-        logistic = random_logistic_family(task.universe, 2, rng=41)
-        quadratic = random_quadratic_family(task.universe, 2, rng=42)
-        embedded = linear_queries_as_cm(
-            random_linear_queries(task.universe, 2, rng=43))
-        lane = list(squared) + list(logistic) + list(quadratic) \
-            + list(embedded)
-        kept = closed_form_minima(lane, universe=task.universe)
-        # only the shared-moment families survive the filter
-        assert kept == list(squared) + list(embedded)
+    @staticmethod
+    def _twins(dataset, losses):
+        from repro.core.pmw_cm import PrivateMWConvex
+        from repro.erm.oracle import NonPrivateOracle
 
-    def test_unlabeled_universe_drops_squared(self, task):
-        """_squared_minima's closed form needs labels; mirror that."""
-        from repro.data.builders import interval_grid
-        from repro.engine import closed_form_minima
+        params = dict(scale=max(loss.scale_bound() for loss in losses),
+                      alpha=0.3, beta=0.1, epsilon=2.0, delta=1e-6,
+                      max_updates=5, solver_steps=60, noise_multiplier=0.0)
+        return [PrivateMWConvex(dataset, NonPrivateOracle(60), rng=13,
+                                **params) for _ in range(2)]
 
-        squared = random_squared_family(task.universe, 2, rng=44)
-        unlabeled = interval_grid(10)
-        assert closed_form_minima(squared, universe=unlabeled) == []
-        assert closed_form_minima(squared) == list(squared)
+    def test_mixed_lane_matches_cold_twin(self, task):
+        lane = (random_squared_family(task.universe, 3, rng=40)
+                + random_logistic_family(task.universe, 2, rng=41)
+                + random_quadratic_family(task.universe, 2, rng=42)
+                + linear_queries_as_cm(
+                    random_linear_queries(task.universe, 2, rng=43)))
+        warm, cold = self._twins(task.dataset, lane)
+        warm_answers = warm.answer_all(lane, on_halt="hypothesis",
+                                       prewarm=True)
+        cold_answers = cold.answer_all(lane, on_halt="hypothesis",
+                                       prewarm=False)
+        assert warm.updates_performed == cold.updates_performed
+        for a, b in zip(warm_answers, cold_answers):
+            assert a.from_update == b.from_update
+            np.testing.assert_allclose(a.theta, b.theta, atol=1e-10)
+
+    def test_unlabeled_universe_raises_like_cold_twin(self):
+        from repro.data.builders import random_ball_net
+        from repro.data.dataset import Dataset
+        from repro.exceptions import LossSpecificationError
+
+        universe = random_ball_net(3, 50, rng=0)  # no labels
+        dataset = Dataset.uniform_random(universe, 100, rng=1)
+        squared = [SquaredLoss(L2Ball(3)) for _ in range(2)]
+        warm, cold = self._twins(dataset, squared)
+        with pytest.raises(LossSpecificationError, match="label"):
+            warm.answer_all(squared, prewarm=True)
+        with pytest.raises(LossSpecificationError, match="label"):
+            cold.answer_all(squared, prewarm=False)

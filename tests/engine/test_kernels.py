@@ -131,17 +131,18 @@ class TestGLMKernels:
 
 
 class TestMoments:
+    """The squared-family moments, memoized per histogram
+    (``Histogram.sufficient_statistics``) through its backend's kernels."""
+
     def test_second_moment(self, task, histogram):
-        moment = kernels.second_moment(task.universe.points, histogram)
+        moment = histogram.sufficient_statistics().second
         expected = np.einsum("i,ij,ik->jk", histogram.weights,
                              task.universe.points, task.universe.points)
         np.testing.assert_allclose(moment, expected, atol=1e-12)
 
     def test_cross_moment(self, task, histogram):
         labels = task.universe.labels
-        moment = kernels.cross_moment(task.universe.points, labels,
-                                      histogram)
+        moment = histogram.sufficient_statistics().cross
         expected = np.einsum("i,i,ij->j", histogram.weights, labels,
                              task.universe.points)
         np.testing.assert_allclose(moment, expected, atol=1e-12)
-

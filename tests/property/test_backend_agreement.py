@@ -10,8 +10,9 @@ band, for every backend registered on this machine:
 - **MW steps** — fused accumulate + deferred normalize over random
   update sequences: materialized weights within ``1e-6``;
 - **linear answers / GLM margins / moments** — the engine kernels
-  (:func:`~repro.engine.kernels.linear_answers` and friends) through a
-  backend-carrying histogram vs the dense NumPy path;
+  (:func:`~repro.engine.kernels.linear_answers` and friends) and a
+  histogram's memoized squared-loss moments through a backend-carrying
+  histogram vs the dense NumPy path;
 - **inverse-CDF sampling** — fixed seeds, same draws (a boundary flip
   on a tiny universe would mean real CDF divergence, not rounding);
 - **monotone objective** — the MW potential ``KL(data ‖ hypothesis)``
@@ -96,24 +97,17 @@ class TestHotPathAgreement:
     @settings(max_examples=30, deadline=None)
     def test_moments_agree(self, name, weights):
         rng = np.random.default_rng(5)
-        features = rng.standard_normal((SIZE, 3))
-        labels = rng.standard_normal(SIZE)
+        universe = Universe(rng.standard_normal((SIZE, 3)),
+                            labels=rng.standard_normal(SIZE),
+                            name="gauss32")
 
         def moments(backend_name):
-            histogram = Histogram(UNIVERSE, weights,
-                                  backend=backend_name)
-            return (np.asarray(kernels.second_moment(features, histogram),
-                               dtype=float),
-                    np.asarray(kernels.cross_moment(features, labels,
-                                                    histogram),
-                               dtype=float))
+            return Histogram(universe, weights,
+                             backend=backend_name).sufficient_statistics()
 
-        second, cross = moments(name)
-        second_ref, cross_ref = moments("numpy")
-        np.testing.assert_allclose(second, second_ref, atol=TOLERANCE,
-                                   rtol=0)
-        np.testing.assert_allclose(cross, cross_ref, atol=TOLERANCE,
-                                   rtol=0)
+        candidate, reference = moments(name), moments("numpy")
+        for got, want in zip(candidate, reference):
+            np.testing.assert_allclose(got, want, atol=TOLERANCE, rtol=0)
 
     def test_glm_margins_agree(self, name):
         rng = np.random.default_rng(6)

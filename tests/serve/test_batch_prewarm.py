@@ -49,9 +49,9 @@ def test_batch_serving_matches_sequential_submits(task, losses):
                                    np.asarray(b.value), atol=1e-10)
 
 
-def test_lane_hypothesis_minima_match_scalar(task):
-    """Prewarm registers the lane for hypothesis-side batching; the
-    batched shared-moment solves must agree with the scalar dispatch."""
+def test_prewarmed_squared_lane_matches_cold_twin(task):
+    """A prewarmed squared lane answers exactly as a cold twin solving
+    every round lazily: both read the same memoized moments."""
     from repro.erm.oracle import NonPrivateOracle
     from repro.core.pmw_cm import PrivateMWConvex
 
@@ -59,22 +59,17 @@ def test_lane_hypothesis_minima_match_scalar(task):
     kwargs = dict(scale=2.0 * max(loss.scale_bound() for loss in losses),
                   alpha=0.3, beta=0.1, epsilon=2.0, delta=1e-6,
                   max_updates=5, solver_steps=60, noise_multiplier=0.0)
-    batched = PrivateMWConvex(task.dataset, NonPrivateOracle(60), rng=13,
-                              **kwargs)
-    scalar = PrivateMWConvex(task.dataset, NonPrivateOracle(60), rng=13,
-                             **kwargs)
-    batched.prewarm(losses)
-    assert list(batched._lane_minima) == [loss.fingerprint()
-                                          for loss in losses]
+    warm = PrivateMWConvex(task.dataset, NonPrivateOracle(60), rng=13,
+                           **kwargs)
+    cold = PrivateMWConvex(task.dataset, NonPrivateOracle(60), rng=13,
+                           **kwargs)
+    assert warm.prewarm(losses) == len(losses)
     for loss in losses:
-        a = batched.answer(loss)
-        b = scalar.answer(loss)
+        a = warm.answer(loss)
+        b = cold.answer(loss)
         assert a.from_update == b.from_update
         np.testing.assert_allclose(a.theta, b.theta, atol=1e-10)
-    # the batch pass actually populated current-version entries
-    version = batched.hypothesis_version
-    assert any(key_version == version
-               for _, key_version in batched._hypothesis_minima)
+    assert warm.updates_performed == cold.updates_performed
 
 
 def test_linear_prewarm_matches_scalar_rounds(task):
