@@ -95,14 +95,25 @@ class ArrayBackend:
         raise NotImplementedError
 
     def log_uniform(self, size: int):
-        """Log-weights of the uniform distribution: ``-log(size)`` each."""
+        """Log-weights of the uniform distribution: ``-log(size)`` each.
+
+        Read-only and shared by every core at version 0, one vector per
+        ``(size, dtype)``; a core's first :meth:`accumulate` reads it as
+        ``base`` and writes into the core's own buffer.
+        """
         raise NotImplementedError
 
     # -- MW hot loop: shard passes -----------------------------------------
 
     def accumulate(self, log_weights, direction, eta: float, scratch,
-                   shard: slice) -> None:
-        """``log_weights[shard] += eta * direction[shard]`` via ``scratch``."""
+                   shard: slice, base=None) -> None:
+        """``log_weights[shard] = base[shard] + eta * direction[shard]``.
+
+        ``base`` defaults to ``log_weights`` (in place). ``scratch`` is
+        shaped like ``log_weights`` and holds the ``eta * direction``
+        product; a shard pass writes only inside ``scratch[shard]`` (the
+        NumPy kernels, one block at its start).
+        """
         raise NotImplementedError
 
     def max_finite(self, values, shard: slice) -> float:

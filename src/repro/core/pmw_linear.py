@@ -14,9 +14,11 @@ CM mechanism's structure mirrors. Round structure (online variant):
 Whole streams go through the batched evaluation engine
 (:mod:`repro.engine`): :meth:`PrivateMWLinear.answer_all` stacks the query
 tables into one loss matrix, answers the true side with a single matvec
-(the data histogram never changes), and precomputes hypothesis answers in
-growing blocks — the hypothesis only changes on ``top`` rounds, so blocks
-double while updates stay away and reset after one.
+over the data's support columns (the data histogram never changes), and
+precomputes hypothesis answers in growing blocks — the hypothesis only
+changes on ``top`` rounds, so blocks double while updates stay away and
+reset after one. Every ``<q, D>`` reads only the ``<= n`` cells the data
+occupies; only the hypothesis side pays universe-sized passes.
 Large universes can shard the hypothesis (``shards=...``), running each
 MW update and reduction shard-by-shard
 (:class:`~repro.data.sharded.ShardedHistogram`).
@@ -212,8 +214,9 @@ class PrivateMWLinear:
     def prewarm(self, queries) -> int:
         """Batch-populate the true-answer cache via the engine.
 
-        One loss-matrix matvec (:func:`repro.engine.batch_answers`)
-        computes ``<q, D>`` for every *distinct* fingerprintable
+        One matvec over the data's support columns
+        (:func:`repro.engine.batch_answers`) computes ``<q, D>`` for
+        every *distinct* fingerprintable
         ``LinearQuery`` in the lane, so a coalesced batch of scalar
         :meth:`answer` rounds skips its per-query data-side dot. The
         data histogram is immutable, so entries never go stale; an LRU
@@ -434,8 +437,9 @@ class PrivateMWLinear:
         stream, same noise draws, same ``on_halt`` behaviour as PMW-CM's
         ``answer_all``); the evaluation strategy differs:
 
-        - the *true* answers for the whole stream are one loss-matrix
-          matvec against the (immutable) data histogram;
+        - the *true* answers for the whole stream are one matvec against
+          the (immutable) data histogram, over its support columns when
+          it offers a support view;
         - the *hypothesis* answers stream through a
           :class:`~repro.engine.versioned.VersionedBatchEvaluator` —
           per-entry version stamps against the hypothesis core, so only
@@ -478,7 +482,13 @@ class PrivateMWLinear:
                                <= self.STACK_COPY_LIMIT_BYTES):
             tables = kernels.stack_tables(queries)
         if tables is not None:
-            true_answers = tables @ self._data_histogram.weights
+            data = self._data_histogram
+            view = data.support_view()
+            if view is None:
+                true_answers = tables @ data.weights
+            else:
+                true_answers = (kernels.gather_tables(tables, view.indices)
+                                @ view.histogram.weights)
             # Per-entry version stamps: the evaluator recomputes only
             # entries stale under the hypothesis's current version, in
             # growing blocks — an update invalidates at most one block

@@ -13,7 +13,8 @@ distances, and divergences the analysis uses.
 A dataset's histogram is typically sparse — ``n`` rows touch at most
 ``n`` of ``|X|`` cells — so :meth:`Histogram.support_view` offers a
 compact view of the cells carrying mass, on which data-side loss
-evaluations run (see :class:`repro.losses.base.LossFunction`).
+evaluations (see :class:`repro.losses.base.LossFunction`) and linear
+answers (:meth:`Histogram.dot`) run.
 :meth:`Histogram.sufficient_statistics` memoizes the moments a squared
 loss reads, so every squared solve and loss after the first at a
 histogram costs ``O(d³)`` and ``O(d²)``, not ``O(|X|·d²)``.
@@ -243,12 +244,21 @@ class Histogram:
         """Expectation ``E_{x~D}[values(x)] = <values, D>``.
 
         For a linear query ``q`` this is exactly the query answer ``<q, D>``.
+        On a histogram with a :meth:`support_view` only the support cells
+        are read (``values[indices] @ support weights``): values at
+        zero-weight cells are not read, and the sum equals the dense one
+        up to floating-point reassociation. Dense histograms, every
+        hypothesis among them, keep the whole-universe dot.
         """
         values = np.asarray(values, dtype=float)
         if values.shape != self._weights.shape:
             raise ValidationError(
                 f"values has shape {values.shape}, expected {self._weights.shape}"
             )
+        view = self.support_view()
+        if view is not None:
+            return self._backend.dot(values[view.indices],
+                                     view.histogram.weights)
         return self._backend.dot(values, self._weights)
 
     def multiplicative_update(self, direction: np.ndarray, eta: float) -> "Histogram":

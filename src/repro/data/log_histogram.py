@@ -57,13 +57,13 @@ class LogHistogram:
     weights:
         Optional initial (unnormalized) weights, validated exactly like
         the :class:`Histogram` constructor. ``None`` starts uniform —
-        PMW's ``Dhat_1`` — without materializing an intermediate
-        histogram.
+        PMW's ``Dhat_1`` — on the backend's shared read-only uniform
+        log-weights, without allocating any universe-sized buffer.
     num_shards:
         When set, heavy passes (the update accumulation and the
-        materializing ``exp``) run shard-by-shard with shard-sized
-        temporaries, and :meth:`freeze` yields a
-        :class:`ShardedHistogram`. ``None`` keeps the dense layout.
+        materializing ``exp``) run shard-by-shard, and :meth:`freeze`
+        yields a :class:`ShardedHistogram`. ``None`` keeps the dense
+        layout.
     workers:
         Optional thread count for shard passes; requires ``num_shards``
         (mirroring :func:`repro.data.sharded.hypothesis_histogram`).
@@ -177,8 +177,10 @@ class LogHistogram:
         log-space it is an additive constant that the next update's
         normalizer absorbs; it is applied lazily (once per version) when
         probabilities are actually read. No allocation happens after the
-        first call: the ``eta * direction`` product lands in a reusable
-        scratch buffer.
+        first call, which allocates the scratch buffer for the
+        ``eta * direction`` product (the NumPy kernels touch one block of
+        it per shard) and, for a uniform start, the core's own copy of
+        the shared read-only log-weights.
 
         Returns the new version.
         """
@@ -200,10 +202,16 @@ class LogHistogram:
         direction = backend.asarray(direction)
         if self._scratch is None:
             self._scratch = backend.empty_like(self._log_weights)
+        base = None
+        if not self._log_weights.flags.writeable:
+            # The shared version-0 uniform: the update writes
+            # ``uniform + eta * direction`` into this core's own buffer.
+            base = self._log_weights
+            self._log_weights = backend.empty_like(base)
         log_weights, scratch = self._log_weights, self._scratch
         self._map_shards(
             lambda s: backend.accumulate(log_weights, direction, eta,
-                                         scratch, s))
+                                         scratch, s, base=base))
         self._version += 1
         return self._version
 

@@ -91,8 +91,16 @@ class _Group:
     kind: str
     indices: list[int]
     members: list
-    tables: np.ndarray | None = None  # stacked for linear/linear-cm groups
+    queries: list | None = None  # each member's LinearQuery (linear groups)
+    _tables: np.ndarray | None = field(default=None, repr=False)
     _squared: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def tables(self) -> np.ndarray:
+        """The ``B×|X|`` loss matrix, stacked on first (dense) use."""
+        if self._tables is None:
+            self._tables = kernels.stack_tables(self.queries)
+        return self._tables
 
     def squared_tables(self) -> np.ndarray:
         """``tables * tables``, computed once per compiled group.
@@ -106,15 +114,32 @@ class _Group:
             self._squared = self.tables * self.tables
         return self._squared
 
+    def answers(self, histogram: Histogram, *,
+                squared: bool = False) -> np.ndarray:
+        """``<q_j, D>`` for every member (``<q_j², D>`` when ``squared``):
+        on a histogram's support view when it has one, gathering each
+        table there (``B × nnz``) instead of stacking ``B × |X|``.
+        """
+        view = histogram.support_view()
+        if view is None:
+            tables = self.squared_tables() if squared else self.tables
+            return kernels.linear_answers(tables, histogram)
+        gathered = kernels.gather_tables(kernels.table_rows(self.queries),
+                                         view.indices)
+        if squared:
+            np.multiply(gathered, gathered, out=gathered)
+        return kernels.linear_answers(gathered, view.histogram)
+
 
 class CompiledBatch:
     """A batch of queries, grouped once, evaluated many times.
 
-    Compiling is cheap (type dispatch plus stacking linear tables); the
-    point of keeping the compiled object around is re-evaluating the same
-    batch against *different* histograms — the serving layer answers a
-    batch against an evolving public hypothesis, and PMW-linear replays
-    its stream suffix after every update.
+    Compiling is cheap (type dispatch; linear tables are stacked only
+    when a dense histogram first needs them); the point of keeping the
+    compiled object around is re-evaluating the same batch against
+    *different* histograms — the serving layer answers a batch against
+    an evolving public hypothesis, and PMW-linear replays its stream
+    suffix after every update.
     """
 
     def __init__(self, queries) -> None:
@@ -125,16 +150,16 @@ class CompiledBatch:
             buckets.setdefault(_family_key(query), []).append(index)
         for key, indices in buckets.items():
             members = [self.queries[i] for i in indices]
-            tables = None
+            linear = None
             if key[0] == _LINEAR:
-                tables = kernels.stack_tables(members)
+                linear = members
             elif key[0] == _LINEAR_CM:
-                tables = kernels.stack_tables(
-                    [loss.query for loss in members]
-                )
+                linear = [loss.query for loss in members]
+            if linear is not None:
+                kernels.table_rows(linear)  # one universe per batch
             self._groups.append(
                 _Group(kind=key[0], indices=indices, members=members,
-                       tables=tables)
+                       queries=linear)
             )
 
     def __len__(self) -> int:
@@ -156,8 +181,7 @@ class CompiledBatch:
                     f"linear_answers needs a LinearQuery batch; found a "
                     f"{type(group.members[0]).__name__}"
                 )
-            out[group.indices] = kernels.linear_answers(group.tables,
-                                                        histogram)
+            out[group.indices] = group.answers(histogram)
         return out
 
     def loss_values(self, thetas, histogram: Histogram) -> np.ndarray:
@@ -224,9 +248,7 @@ class CompiledBatch:
 def _linear_cm_moments(group: _Group,
                        histogram: Histogram) -> tuple[np.ndarray, np.ndarray]:
     """First/second query moments ``(<q, D>, <q², D>)`` for the group."""
-    first = kernels.linear_answers(group.tables, histogram)
-    second = kernels.linear_answers(group.squared_tables(), histogram)
-    return first, second
+    return group.answers(histogram), group.answers(histogram, squared=True)
 
 
 def _linear_cm_value(theta: np.ndarray, first: np.ndarray,

@@ -6,7 +6,8 @@ per query. The layouts:
 
 - **Loss matrix** (linear queries): stack the ``B`` query tables into a
   matrix ``Q ∈ R^{B×|X|}``; all answers against a histogram ``w`` are the
-  single matvec ``Q w``. Dominated by streaming ``Q`` once.
+  single matvec ``Q w``. Dominated by streaming ``Q`` once. A dataset's
+  sparse histogram needs only its support columns (:func:`gather_tables`).
 - **Margin matrix** (GLM families): a GLM loss in rotated features
   evaluates ``phi((X R_jᵀ) theta_j, y)`` per query — a ``|X|·d²`` matmul
   *per query* on the scalar path. But ``(X R_jᵀ) theta_j = X (R_jᵀ
@@ -34,8 +35,10 @@ from repro.exceptions import ValidationError
 from repro.utils.validation import root_base
 
 __all__ = [
+    "table_rows",
     "stack_tables",
     "shared_table_matrix",
+    "gather_tables",
     "linear_answers",
     "glm_parameter_matrix",
     "glm_margin_matrix",
@@ -55,7 +58,7 @@ def stack_tables(queries) -> np.ndarray:
     Raises if the tables disagree on universe size (a batch must target
     one universe).
     """
-    tables = _validated_tables(queries)
+    tables = table_rows(queries)
     if not tables:
         return np.empty((0, 0))
     shared = _shared_row_matrix(tables)
@@ -74,13 +77,14 @@ def shared_table_matrix(queries) -> np.ndarray | None:
     10^7-element universe) probe with this and keep per-query evaluation
     when it returns ``None``.
     """
-    tables = _validated_tables(queries)
+    tables = table_rows(queries)
     if not tables:
         return np.empty((0, 0))
     return _shared_row_matrix(tables)
 
 
-def _validated_tables(queries) -> list[np.ndarray]:
+def table_rows(queries) -> list[np.ndarray]:
+    """The batch's tables (no copies); raises on mixed universe sizes."""
     tables = [np.asarray(query.table, dtype=float) for query in queries]
     if not tables:
         return tables
@@ -112,6 +116,16 @@ def _shared_row_matrix(tables) -> np.ndarray | None:
                 != start + row * base.strides[0]):
             return None
     return base
+
+
+def gather_tables(tables, indices: np.ndarray) -> np.ndarray:
+    """``Q[:, indices]`` (``B × k``) from the loss matrix or a sequence of
+    its rows, reading only the gathered entries: unshared tables are
+    never stacked ``|X|``-long."""
+    out = np.empty((len(tables), indices.shape[0]))
+    for row, table in enumerate(tables):
+        np.take(table, indices, out=out[row])
+    return out
 
 
 def linear_answers(tables: np.ndarray, histogram: Histogram) -> np.ndarray:

@@ -254,3 +254,120 @@ class TestBufferReuse:
         frozen_weights = core.freeze().weights
         core.apply_update(directions[1], 0.3)
         assert core.weights is not frozen_weights
+
+
+class TestSharedUniformStart:
+    """Uniform cores start on one shared, read-only log-weight vector, and
+    a core's first update moves it onto a buffer of its own — with the
+    same bits as updating a private uniform buffer in place."""
+
+    @staticmethod
+    def private_buffer_state(universe, updates, num_shards=None,
+                             workers=None):
+        """``state_dict()`` of a core that owned its uniform start."""
+        log_weights = np.full(universe.size, -np.log(universe.size))
+        for direction, eta in updates:
+            log_weights += direction * eta
+        return {"version": len(updates), "log_weights": log_weights.tolist(),
+                "num_shards": num_shards, "workers": workers}
+
+    @pytest.mark.parametrize("backend", ["numpy", "float32"])
+    def test_cores_on_one_universe_share_version_zero(self, universe,
+                                                      backend):
+        first = LogHistogram(universe, backend=backend)
+        second = LogHistogram(universe, backend=backend)
+        assert first._log_weights is second._log_weights
+        assert not first._log_weights.flags.writeable
+
+    def test_an_update_leaves_the_other_core_and_the_shared_vector(
+            self, universe, directions):
+        first = LogHistogram.uniform(universe)
+        second = LogHistogram.uniform(universe)
+        shared = first._log_weights
+        before = shared.tobytes()
+        second_weights = second.weights.copy()
+
+        first.apply_update(directions[0], 0.4)
+        first.apply_update(directions[1], -0.2)
+
+        assert shared.tobytes() == before
+        assert second._log_weights is shared
+        assert second.version == 0
+        np.testing.assert_array_equal(second.weights, second_weights)
+        assert second.state_dict() == self.private_buffer_state(universe,
+                                                                [])
+        assert first._log_weights is not shared
+        assert first._log_weights.flags.writeable
+
+    @pytest.mark.parametrize("num_shards,workers", [(None, None), (3, 2)])
+    def test_state_dict_bytes_match_a_private_buffer(self, universe,
+                                                     directions, num_shards,
+                                                     workers):
+        core = LogHistogram.uniform(universe, num_shards=num_shards,
+                                    workers=workers)
+        updates = [(direction, 0.3 * (1 + k % 3))
+                   for k, direction in enumerate(directions[:5])]
+        for applied in range(len(updates) + 1):
+            if applied:
+                core.apply_update(*updates[applied - 1])
+            expected = self.private_buffer_state(
+                universe, updates[:applied], num_shards, workers)
+            assert (json.dumps(core.state_dict())
+                    == json.dumps(expected))
+
+    @pytest.mark.parametrize("snapshot_at", [0, 1, 4])
+    def test_snapshot_restore_continues_bitwise(self, universe, directions,
+                                                snapshot_at):
+        uninterrupted = LogHistogram.uniform(universe)
+        resumed = LogHistogram.uniform(universe)
+        for index, direction in enumerate(directions[:8]):
+            if index == snapshot_at:
+                state = json.loads(json.dumps(resumed.state_dict()))
+                resumed = LogHistogram.from_state(universe, state)
+            uninterrupted.apply_update(direction, 0.45)
+            resumed.apply_update(direction, 0.45)
+        assert resumed.version == uninterrupted.version
+        assert resumed.weights.tobytes() == uninterrupted.weights.tobytes()
+        assert resumed.state_dict() == uninterrupted.state_dict()
+
+    def test_concurrent_cores_and_shard_passes(self):
+        """More threads than cores open cores on one universe and update
+        them while their shard passes run on a pool: every core ends on
+        its reference bits and the shared vector never changes."""
+        import os
+        import sys
+        import threading
+
+        from repro.backend.numpy_backend import BLOCK
+
+        universe = interval_grid(3 * BLOCK + 7)
+        rng = np.random.default_rng(21)
+        directions = [rng.uniform(-1.0, 1.0, universe.size)
+                      for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        shared = LogHistogram.uniform(universe)._log_weights
+        before = shared.tobytes()
+        expected = [self.private_buffer_state(universe, [(d, 0.6), (d, 0.2)],
+                                              8, 4)["log_weights"]
+                    for d in directions]
+        results = [None] * len(directions)
+
+        def work(index):
+            core = LogHistogram.uniform(universe, num_shards=8, workers=4)
+            core.apply_update(directions[index], 0.6)
+            core.apply_update(directions[index], 0.2)
+            results[index] = core.state_dict()["log_weights"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(directions))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+        assert shared.tobytes() == before

@@ -20,10 +20,12 @@ from repro.data.shm import (
     attach_datasets,
     segment_name,
 )
+from repro.core.pmw_linear import PrivateMWLinear
 from repro.data.synthetic import make_classification_dataset
-from repro.engine import batch_data_minima
+from repro.engine import batch_answers, batch_data_minima
 from repro.exceptions import ValidationError
 from repro.losses.families import (
+    random_linear_queries,
     random_logistic_family,
     random_squared_family,
 )
@@ -170,6 +172,37 @@ class TestSupportTwin:
                                     batch_data_minima(losses, local)):
                 assert np.array_equal(ours.theta, theirs.theta)
                 assert ours.value == theirs.value
+        finally:
+            handle.close()
+
+
+    def test_linear_answers_are_bitwise_equal(self, sparse):
+        """Linear answers read the support view too, so the attached
+        histogram answers every linear query, batched or scalar, and
+        drives PMW-linear exactly as its in-process twin."""
+        handle = SharedDatasetExport(sparse, owner_pid=os.getpid(),
+                                     tag="test_shm_linear")
+        try:
+            attached = attach_datasets(handle.manifest)["default"]
+            local, shared = sparse.histogram(), attached.histogram()
+            queries = random_linear_queries(sparse.universe, 6, rng=3)
+            for query in queries:
+                assert query.answer(shared) == query.answer(local)
+            assert np.array_equal(batch_answers(queries, shared),
+                                  batch_answers(queries, local))
+            params = dict(alpha=0.2, epsilon=1.5, delta=1e-6,
+                          max_updates=6, noise_multiplier=0.0)
+            streams = []
+            for dataset in (attached, sparse):
+                scalar = PrivateMWLinear(dataset, rng=9, **params)
+                scalar.prewarm(queries[:3])
+                answers = [scalar.answer(query) for query in queries]
+                batched = PrivateMWLinear(dataset, rng=9, **params)
+                answers += batched.answer_all(queries)
+                streams.append([(answer.value, answer.from_update)
+                                for answer in answers])
+            assert streams[0] == streams[1]
+            assert any(update for _, update in streams[0])
         finally:
             handle.close()
 

@@ -161,6 +161,62 @@ class TestLinearAnswers:
             batch_answers(losses, histogram)
 
 
+class TestLinearLayouts:
+    """Linear tables are stacked only for a dense histogram, once per
+    compiled batch; a sparse histogram gathers its support columns."""
+
+    @staticmethod
+    def _sparse(universe, cells):
+        from repro.data.histogram import Histogram
+
+        weights = np.zeros(universe.size)
+        weights[cells] = np.arange(1, len(cells) + 1, dtype=float)
+        return Histogram(universe, weights)
+
+    def test_stacks_only_for_a_dense_histogram(self, task, histogram,
+                                               monkeypatch):
+        from repro.engine import kernels
+
+        assert histogram.support_view() is None
+        sparse = self._sparse(task.universe, [3, 17, 40])
+        queries = random_linear_queries(task.universe, 5, rng=31)
+        calls = []
+        stack_tables = kernels.stack_tables
+        monkeypatch.setattr(kernels, "stack_tables",
+                            lambda batch: calls.append(len(batch))
+                            or stack_tables(batch))
+        batch = compile_batch(queries)
+        assert calls == []
+        on_support = batch.linear_answers(sparse)
+        assert calls == []
+        dense = batch.linear_answers(histogram)
+        batch.linear_answers(histogram)
+        assert calls == [5]  # stacked once, then reused
+        np.testing.assert_allclose(
+            on_support, [q.table @ sparse.weights for q in queries],
+            rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            dense, [q.table @ histogram.weights for q in queries],
+            rtol=1e-12, atol=1e-14)
+
+    def test_shared_matrix_stays_zero_copy(self, task, histogram):
+        from repro.losses.linear import LinearQuery
+
+        matrix = (np.random.default_rng(32).random((4, task.universe.size))
+                  < 0.5).astype(float)
+        matrix.setflags(write=False)
+        queries = [LinearQuery(row) for row in matrix]
+        batch = compile_batch(queries)
+        batch.linear_answers(histogram)
+        assert batch._groups[0].tables is matrix
+
+    def test_mismatched_universes_fail_at_compile(self, task):
+        from repro.losses.linear import LinearQuery
+
+        with pytest.raises(ValidationError, match="universe size"):
+            compile_batch([LinearQuery(np.zeros(5)), LinearQuery(np.zeros(6))])
+
+
 class TestDataMinima:
     def test_linear_cm_closed_form(self, task, histogram):
         losses = linear_queries_as_cm(

@@ -138,3 +138,41 @@ def test_session_prewarm_noop_without_hook(task):
 
     session = Session("bare", Hookless())
     assert session.prewarm(["anything"]) == 0
+
+
+def test_sparse_data_linear_batch_never_stacks_universe_tables(monkeypatch):
+    """The true side of a served linear batch gathers each table at the
+    data's support; no ``|X|``-long table is stacked on the way."""
+    from repro.data.builders import interval_grid
+    from repro.data.dataset import Dataset
+    from repro.engine import kernels
+    from repro.losses.families import random_linear_queries
+
+    universe = interval_grid(4096)
+    rng = np.random.default_rng(8)
+    dataset = Dataset(universe, rng.choice(40, size=300) * 100)
+    assert dataset.histogram().support_view() is not None
+    queries = random_linear_queries(universe, 8, rng=9)  # unshared tables
+
+    stacked = []
+    stack_tables, vstack = kernels.stack_tables, np.vstack
+
+    def spy_stack_tables(batch):
+        stacked.append(("stack_tables", len(batch)))
+        return stack_tables(batch)
+
+    def spy_vstack(arrays, *args, **kwargs):
+        if any(np.shape(a)[-1] >= universe.size for a in arrays):
+            stacked.append(("vstack", len(arrays)))
+        return vstack(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "stack_tables", spy_stack_tables)
+    monkeypatch.setattr(np, "vstack", spy_vstack)
+    service = PMWService(dataset, rng=6)
+    sid = service.open_session("pmw-linear", alpha=0.2, epsilon=1.5,
+                               delta=1e-6, max_updates=6)
+    results = service.answer_batch((sid, queries))
+    mechanism = service.session(sid).mechanism
+    assert len(results) == len(queries)
+    assert len(mechanism._true_answers) == len(queries)  # prewarm ran
+    assert stacked == []
