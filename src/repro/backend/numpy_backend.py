@@ -10,7 +10,7 @@ existed, so running it is bitwise-identical to the pre-refactor code
 half the memory traffic on every universe-sized pass and twice the SIMD
 lane width, which is where the speedup on large ``|X|`` comes from.
 Reductions that feed normalizers and sampling tables (:meth:`total_mass`,
-:meth:`build_cdf`, :meth:`cumsum`) accumulate in ``float64`` — a
+:meth:`build_cdf`) accumulate in ``float64`` — a
 ``float32`` cumsum over ``|X| = 10^6`` entries drifts to ``~1e-4``,
 well past the ``1e-6`` agreement contract, while per-element arithmetic
 stays comfortably inside it. The squared-family moments
@@ -20,7 +20,7 @@ standard-normal features ``float32`` rounding of features, weights and
 partial sums already adds up to ``1.2e-6``.
 
 :meth:`NumpyBackend.accumulate` and :meth:`NumpyBackend.exp_shifted` walk
-each shard in :data:`BLOCK`-sized pieces, so an intermediate is re-read
+the vector in :data:`BLOCK`-sized pieces, so an intermediate is re-read
 from cache, not memory; elementwise results do not depend on blocking.
 """
 
@@ -91,51 +91,39 @@ class NumpyBackend(ArrayBackend):
             _UNIFORM[key] = uniform
         return uniform
 
-    # -- MW hot loop: shard passes -----------------------------------------
+    # -- MW hot loop --------------------------------------------------------
 
     def accumulate(self, log_weights, direction, eta: float, scratch,
-                   shard: slice, base=None) -> None:
+                   base=None) -> None:
         if base is None:
             base = log_weights
-        start, stop, _ = shard.indices(log_weights.shape[0])
-        # One block at the shard's own start: concurrent shards never
-        # share scratch, and the product is re-read from cache.
-        product = scratch[start:start + BLOCK]
-        for low in range(start, stop, BLOCK):
-            high = min(low + BLOCK, stop)
+        size = log_weights.shape[0]
+        # One block of scratch, re-read from cache by the add.
+        product = scratch[:BLOCK]
+        for low in range(0, size, BLOCK):
+            high = min(low + BLOCK, size)
             piece = product[:high - low]
             np.multiply(direction[low:high], eta, out=piece)
             np.add(base[low:high], piece, out=log_weights[low:high])
 
-    def max_finite(self, values, shard: slice) -> float:
-        chunk = values[shard]
-        if chunk.size:
-            top = float(np.max(chunk))
+    def max_finite(self, values) -> float:
+        if values.size:
+            top = float(np.max(values))
             if top < np.inf:  # no NaN or +inf: -inf entries cannot win
                 return top
-        finite = chunk[np.isfinite(chunk)]
+        finite = values[np.isfinite(values)]
         return float(np.max(finite)) if finite.size else float("-inf")
 
-    def log_axpy_max(self, weights, direction, eta: float, out,
-                     shard: slice) -> float:
-        chunk = out[shard]  # a view: shards are disjoint, writes race-free
-        with np.errstate(divide="ignore"):
-            np.log(weights[shard], out=chunk)
-        chunk += eta * direction[shard]
-        finite = chunk[np.isfinite(chunk)]
-        return float(np.max(finite)) if finite.size else float("-inf")
-
-    def exp_shifted(self, values, shift: float, out, shard: slice) -> None:
-        start, stop, _ = shard.indices(out.shape[0])
-        for low in range(start, stop, BLOCK):
-            high = min(low + BLOCK, stop)
+    def exp_shifted(self, values, shift: float, out) -> None:
+        for low in range(0, out.shape[0], BLOCK):
+            high = min(low + BLOCK, out.shape[0])
             chunk = out[low:high]
             np.subtract(values[low:high], shift, out=chunk)
             np.exp(chunk, out=chunk)
 
     def total_mass(self, values) -> float:
         # Full-vector pairwise sum — the normalizer every histogram
-        # constructor computes, keeping dense/sharded/log paths aligned.
+        # constructor computes, keeping immutable and log paths aligned.
         return float(values.sum())
 
     def normalize(self, values, total: float) -> None:
@@ -186,9 +174,6 @@ class NumpyBackend(ArrayBackend):
         cdf.setflags(write=False)
         return cdf
 
-    def cumsum(self, values) -> np.ndarray:
-        return np.cumsum(values)
-
 
 class Float32Backend(NumpyBackend):
     """``float32`` storage and arithmetic, ``float64`` accumulation.
@@ -211,9 +196,6 @@ class Float32Backend(NumpyBackend):
         cdf[last_support:] = 1.0
         cdf.setflags(write=False)
         return cdf
-
-    def cumsum(self, values) -> np.ndarray:
-        return np.cumsum(values, dtype=np.float64)
 
     def second_moment(self, features, weights):
         return _second_moment(self.to_float64(features),

@@ -28,11 +28,10 @@ import numpy as np
 from repro.backend import ArrayBackend, resolve_backend
 from repro.core.accuracy import DatabaseErrorBreakdown, database_error
 from repro.core.config import PMWConfig
-from repro.core.update import dual_certificate, mw_step, mw_step_inplace
+from repro.core.update import dual_certificate, mw_step_inplace
 from repro.data.dataset import Dataset
 from repro.data.histogram import Histogram
-from repro.data.log_histogram import LogHistogram, hypothesis_core
-from repro.data.sharded import hypothesis_histogram
+from repro.data.log_histogram import LogHistogram, restore_hypothesis
 from repro.dp.accountant import PrivacyAccountant, restore_accountant
 from repro.dp.composition import PrivacyParameters, advanced_composition
 from repro.dp.sparse_vector import SparseVector
@@ -76,6 +75,11 @@ class PMWAnswer:
 class PrivateMWConvex:
     """The Figure 3 mechanism.
 
+    The public hypothesis lives in a version-stamped log-domain
+    accumulator (:class:`~repro.data.log_histogram.LogHistogram`): MW
+    updates are in-place accumulations, and repeated queries at an
+    unchanged version replay their full round evaluation from cache.
+
     Class attributes
     ----------------
     DATA_MINIMA_LIMIT:
@@ -113,20 +117,11 @@ class PrivateMWConvex:
     noise_multiplier:
         Forwarded to the sparse vector; values below 1 void the formal
         privacy guarantee (ablations only).
-    versioned_core:
-        ``True`` (default) keeps the hypothesis in the version-stamped
-        log-domain accumulator (:class:`~repro.data.log_histogram.LogHistogram`):
-        MW updates are in-place accumulations, repeated queries at an
-        unchanged version replay their full round evaluation from cache,
-        and hypothesis-side solves warm-start from the previous round.
-        ``False`` is the legacy immutable-histogram path (one fresh
-        histogram and one cold solve per round) — kept for ablations and
-        the hot-loop benchmark baseline.
     warm_start:
-        With the versioned core, seed each hypothesis-side solve from the
-        same query's previous minimizer at a reduced step budget
-        (``solver_steps // 4``, at least 25). Purely an inner-solver
-        change: answers remain valid minimizers, just reached cheaper.
+        Seed each hypothesis-side solve from the same query's previous
+        minimizer at a reduced step budget (``solver_steps // 4``, at
+        least 25). Purely an inner-solver change: answers remain valid
+        minimizers, just reached cheaper.
     backend:
         Numeric :class:`~repro.backend.base.ArrayBackend` (instance or
         registered name) running the MW hot path. ``None`` resolves via
@@ -153,9 +148,7 @@ class PrivateMWConvex:
                  epsilon: float = 1.0, delta: float = 1e-6,
                  schedule: str = "calibrated", max_updates: int | None = None,
                  solver_steps: int = 400, noise_multiplier: float = 1.0,
-                 shards: int | None = None,
-                 histogram_workers: int | None = None,
-                 versioned_core: bool = True, warm_start: bool = True,
+                 warm_start: bool = True,
                  backend: str | ArrayBackend | None = None,
                  rng=None) -> None:
         self._dataset = dataset
@@ -184,24 +177,12 @@ class PrivateMWConvex:
         )
         self._oracle = oracle.with_budget(self.config.oracle_epsilon,
                                           self.config.oracle_delta)
-        self.shards = shards
-        self.histogram_workers = histogram_workers
-        self.versioned_core = bool(versioned_core)
-        self.warm_start = bool(warm_start) and self.versioned_core
+        self.warm_start = bool(warm_start)
         self.warm_solver_steps = max(1, min(self.solver_steps,
                                             max(25, self.solver_steps // 4)))
         self._backend = resolve_backend(backend)
         self.backend_name = self._backend.name
-        if self.versioned_core:
-            self._core: LogHistogram | None = hypothesis_core(
-                dataset.universe, shards=shards, workers=histogram_workers,
-                backend=self._backend)
-            self._hypothesis = None
-        else:
-            self._core = None
-            self._hypothesis = hypothesis_histogram(
-                dataset.universe, shards=shards, workers=histogram_workers,
-                backend=self._backend)
+        self._core = LogHistogram(dataset.universe, backend=self._backend)
         # Whole-round evaluations keyed by (loss fingerprint, hypothesis
         # version): a no-update round re-asking a known query skips the
         # hypothesis solve, the loss-on-data pass, and the error query
@@ -241,13 +222,10 @@ class PrivateMWConvex:
     def hypothesis(self) -> Histogram:
         """The current public hypothesis ``Dhat_t`` (safe to release).
 
-        With the versioned core this is a frozen (immutable) view,
-        cached per version — repeated reads between updates return the
-        same object.
+        A frozen (immutable) view, cached per version — repeated reads
+        between updates return the same object.
         """
-        if self._core is not None:
-            return self._core.freeze()
-        return self._hypothesis
+        return self._core.freeze()
 
     @property
     def hypothesis_version(self) -> int:
@@ -255,13 +233,9 @@ class PrivateMWConvex:
 
         Bumped exactly once per MW update; equal versions mean the
         identical distribution. The serving layer's update-aware answer
-        cache and the engine's versioned evaluators key on this. The
-        legacy (non-versioned) path reports the update count, which
-        bumps at the same moments.
+        cache and the engine's versioned evaluators key on this.
         """
-        if self._core is not None:
-            return self._core.version
-        return self._updates
+        return self._core.version
 
     @property
     def queries_answered(self) -> int:
@@ -382,16 +356,11 @@ class PrivateMWConvex:
                 theta_hat=breakdown.hypothesis_minimizer,
                 solver_steps=self.solver_steps,
             )
-            if self._core is not None:
-                mw_step_inplace(self._core, certificate,
-                                self.config.eta, self.config.scale)
-                # Every cached round evaluation is for the old version now.
-                self._round_cache.clear()
-                self._hypothesis_minima.clear()
-            else:
-                self._hypothesis = mw_step(self._hypothesis, certificate,
-                                           self.config.eta,
-                                           self.config.scale)
+            mw_step_inplace(self._core, certificate,
+                            self.config.eta, self.config.scale)
+            # Every cached round evaluation is for the old version now.
+            self._round_cache.clear()
+            self._hypothesis_minima.clear()
         update_index = self._updates
         self._updates += 1
         self._history.append({
@@ -549,10 +518,11 @@ class PrivateMWConvex:
     # -- snapshot / restore ------------------------------------------------------
 
     #: Written format. v2 stores the hypothesis as the raw log-domain
-    #: core state (``hypothesis_core``) for versioned mechanisms —
-    #: ``hypothesis_weights`` is ``None`` there — plus warm-start and
-    #: round-cache records. v1 (pre-versioned-core) snapshots are still
-    #: accepted on read and restore onto the legacy immutable path.
+    #: core state (``hypothesis_core``) plus warm-start and round-cache
+    #: records. v1 snapshots, and v2/v3 ones of the retired immutable
+    #: path (``versioned_core: false``), hold normalized
+    #: ``hypothesis_weights`` instead; they are still accepted on read
+    #: (see :func:`~repro.data.log_histogram.restore_hypothesis`).
     #: v3 run-length encodes the accountant's spend records
     #: (``to_grouped_records``: entries may carry a ``count``); the bump
     #: exists because a v2 reader would ignore ``count`` and silently
@@ -585,22 +555,14 @@ class PrivateMWConvex:
             },
             "solver_steps": self.solver_steps,
             "noise_multiplier": self._sparse_vector.noise_multiplier,
-            "shards": self.shards,
-            "histogram_workers": self.histogram_workers,
-            "versioned_core": self.versioned_core,
             "warm_start": self.warm_start,
             # The backend is arithmetic, not state: hypothesis payloads
             # below are backend-independent float64, so a restore may
             # override it freely (or inherit it from here).
             "backend": self.backend_name,
-            # Exactly one hypothesis representation is stored: the raw
-            # log-domain core state (versioned path — normalized weights
-            # would both double the payload and lose the deferred
-            # normalization state), or the normalized weights (legacy).
-            "hypothesis_weights": (self._hypothesis.weights.tolist()
-                                   if self._core is None else None),
-            "hypothesis_core": (self._core.state_dict()
-                                if self._core is not None else None),
+            # The raw log-domain core state: normalized weights would
+            # lose the deferred normalization state.
+            "hypothesis_core": self._core.state_dict(),
             "warm_starts": {
                 key: {"version": version, "theta": theta.tolist()}
                 for key, (version, theta) in self._warm_starts.items()
@@ -683,32 +645,16 @@ class PrivateMWConvex:
             max_updates=config["max_updates"],
             solver_steps=snapshot["solver_steps"],
             noise_multiplier=snapshot["noise_multiplier"],
-            shards=snapshot.get("shards"),
-            histogram_workers=snapshot.get("histogram_workers"),
-            # Pre-versioned-core snapshots carry only normalized weights;
-            # restoring them onto the legacy immutable path keeps the
-            # resumed run faithful to the snapshotted one.
-            versioned_core=snapshot.get("versioned_core", False),
             warm_start=snapshot.get("warm_start", True),
             backend=(backend if backend is not None
                      else snapshot.get("backend")),
             rng=rng,
         )
-        if mechanism._core is not None:
-            # The raw log-domain accumulator (pre-normalization state and
-            # version counter) restores bitwise, so a resumed run applies
-            # updates to exactly the floats the original would have.
-            mechanism._core = LogHistogram.from_state(
-                dataset.universe, snapshot["hypothesis_core"],
-                backend=mechanism._backend)
-        else:
-            mechanism._hypothesis = hypothesis_histogram(
-                dataset.universe,
-                np.asarray(snapshot["hypothesis_weights"], dtype=float),
-                shards=snapshot.get("shards"),
-                workers=snapshot.get("histogram_workers"),
-                backend=mechanism._backend,
-            )
+        # The raw log-domain accumulator (pre-normalization state and
+        # version counter) restores bitwise, so a resumed run applies
+        # updates to exactly the floats the original would have.
+        mechanism._core = restore_hypothesis(dataset.universe, snapshot,
+                                             backend=mechanism._backend)
         mechanism._warm_starts = OrderedDict(
             (key, (int(record["version"]),
                    np.asarray(record["theta"], dtype=float)))
@@ -764,8 +710,8 @@ class PrivateMWConvex:
             return None
 
     def _round_cache_get(self, key: str | None) -> DatabaseErrorBreakdown | None:
-        """Current-version round cache lookup (versioned core only)."""
-        if self._core is None or key is None:
+        """Current-version round cache lookup."""
+        if key is None:
             return None
         round_key = (key, self._core.version)
         hit = self._round_cache.get(round_key)
@@ -790,7 +736,7 @@ class PrivateMWConvex:
         hypothesis-only streams — cost a dictionary lookup.
         """
         minima_key = None
-        if self._core is not None and key is not None:
+        if key is not None:
             minima_key = (key, self._core.version)
             hit = self._hypothesis_minima.get(minima_key)
             if hit is not None:
@@ -821,12 +767,11 @@ class PrivateMWConvex:
                          data_result) -> DatabaseErrorBreakdown:
         """One round's ``database_error``, version-cached and warm-started.
 
-        With the versioned core, a repeated ``(fingerprint, version)``
-        pair replays the cached breakdown — no solver call, no
-        loss-on-data pass, no error-query recomputation. The cached
-        quantities are deterministic functions of ``(loss, data,
-        hypothesis version)``, so replaying them is exactly what
-        recomputing would produce.
+        A repeated ``(fingerprint, version)`` pair replays the cached
+        breakdown — no solver call, no loss-on-data pass, no error-query
+        recomputation. The cached quantities are deterministic functions
+        of ``(loss, data, hypothesis version)``, so replaying them is
+        exactly what recomputing would produce.
         """
         with trace.span("mechanism.cache_probe"):
             hit = self._round_cache_get(key)
@@ -839,7 +784,7 @@ class PrivateMWConvex:
                                        solver_steps=self.solver_steps,
                                        data_result=data_result,
                                        hypothesis_result=hypothesis_result)
-        if self._core is not None and key is not None:
+        if key is not None:
             self._round_cache[(key, self._core.version)] = breakdown
             while len(self._round_cache) > self.ROUND_CACHE_LIMIT:
                 self._round_cache.popitem(last=False)

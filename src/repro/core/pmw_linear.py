@@ -19,9 +19,6 @@ precomputes hypothesis answers in growing blocks — the hypothesis only
 changes on ``top`` rounds, so blocks double while updates stay away and
 reset after one. Every ``<q, D>`` reads only the ``<= n`` cells the data
 occupies; only the hypothesis side pays universe-sized passes.
-Large universes can shard the hypothesis (``shards=...``), running each
-MW update and reduction shard-by-shard
-(:class:`~repro.data.sharded.ShardedHistogram`).
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ from repro.backend import ArrayBackend, resolve_backend
 from repro.core.config import PMWConfig
 from repro.data.dataset import Dataset
 from repro.data.histogram import Histogram
-from repro.data.log_histogram import LogHistogram, hypothesis_core
-from repro.data.sharded import hypothesis_histogram
+from repro.data.log_histogram import LogHistogram, restore_hypothesis
 from repro.dp.accountant import PrivacyAccountant, restore_accountant
 from repro.dp.composition import per_round_budget
 from repro.dp.sparse_vector import SparseVector
@@ -71,9 +67,7 @@ class PrivateMWLinear:
     def __init__(self, dataset: Dataset, *, alpha: float, beta: float = 0.05,
                  epsilon: float = 1.0, delta: float = 1e-6,
                  schedule: str = "calibrated", max_updates: int | None = None,
-                 noise_multiplier: float = 1.0, shards: int | None = None,
-                 histogram_workers: int | None = None,
-                 versioned_core: bool = True,
+                 noise_multiplier: float = 1.0,
                  backend: str | ArrayBackend | None = None,
                  rng=None) -> None:
         self._dataset = dataset
@@ -102,21 +96,9 @@ class PrivateMWLinear:
                                        self.config.sv_delta,
                                        self.config.max_updates)
         self._measurement_epsilon = measurement.epsilon
-        self.shards = shards
-        self.histogram_workers = histogram_workers
-        self.versioned_core = bool(versioned_core)
         self._backend = resolve_backend(backend)
         self.backend_name = self._backend.name
-        if self.versioned_core:
-            self._core: LogHistogram | None = hypothesis_core(
-                dataset.universe, shards=shards, workers=histogram_workers,
-                backend=self._backend)
-            self._hypothesis = None
-        else:
-            self._core = None
-            self._hypothesis = hypothesis_histogram(
-                dataset.universe, shards=shards, workers=histogram_workers,
-                backend=self._backend)
+        self._core = LogHistogram(dataset.universe, backend=self._backend)
         self._updates = 0
         self._queries = 0
         # Fingerprint-keyed <q, D> cache, fed by prewarm(): the data
@@ -133,19 +115,14 @@ class PrivateMWLinear:
 
     @property
     def hypothesis(self) -> Histogram:
-        """The current public hypothesis (a frozen per-version view when
-        the versioned core is active)."""
-        if self._core is not None:
-            return self._core.freeze()
-        return self._hypothesis
+        """The current public hypothesis (a frozen per-version view)."""
+        return self._core.freeze()
 
     @property
     def hypothesis_version(self) -> int:
         """Monotone hypothesis version (see
         :attr:`repro.core.pmw_cm.PrivateMWConvex.hypothesis_version`)."""
-        if self._core is not None:
-            return self._core.version
-        return self._updates
+        return self._core.version
 
     @property
     def updates_performed(self) -> int:
@@ -187,7 +164,7 @@ class PrivateMWLinear:
         with trace.span("mechanism.cache_probe"):
             true_answer = self._true_answer(query)
         with trace.span("mechanism.solve"):
-            hypothesis_answer = self._hypothesis_dot(query.table)
+            hypothesis_answer = self._core.dot(query.table)
         return self._answer_given(
             query,
             true_answer=true_answer,
@@ -258,13 +235,6 @@ class PrivateMWLinear:
             self._true_answers.popitem(last=False)
         return len(fresh)
 
-    def _hypothesis_dot(self, table: np.ndarray) -> float:
-        """``<q, Dhat>`` — off the core's shared materialization when
-        versioned (amortized across every same-version read)."""
-        if self._core is not None:
-            return self._core.dot(table)
-        return self._hypothesis.dot(table)
-
     def _answer_given(self, query: LinearQuery, *, true_answer: float,
                       hypothesis_answer: float) -> LinearAnswer:
         """The mechanism round, with the two inner products precomputed.
@@ -303,14 +273,7 @@ class PrivateMWLinear:
             # hypothesis), raise weight where q(x) is large; if it
             # over-counts, lower it.
             sign = 1.0 if noisy_answer > hypothesis_answer else -1.0
-            if self._core is not None:
-                # In-place log-domain accumulation; (±eta)·q is bitwise
-                # the same increment as the immutable update's eta·(±q).
-                self._core.apply_update(query.table, sign * self.config.eta)
-            else:
-                self._hypothesis = self._hypothesis.multiplicative_update(
-                    sign * query.table, self.config.eta
-                )
+            self._core.apply_update(query.table, sign * self.config.eta)
         update_index = self._updates
         self._updates += 1
         return LinearAnswer(value=noisy_answer, from_update=True,
@@ -327,7 +290,8 @@ class PrivateMWLinear:
 
     #: Written format; see PrivateMWConvex.SNAPSHOT_FORMAT for the v1→v2
     #: (raw log-domain core state) and v2→v3 (RLE accountant records —
-    #: an old reader would silently under-count budget) schema changes.
+    #: an old reader would silently under-count budget) schema changes,
+    #: and for the snapshots that still carry normalized weights.
     SNAPSHOT_FORMAT = "repro.pmw_linear/v3"
     ACCEPTED_SNAPSHOT_FORMATS = ("repro.pmw_linear/v1",
                                  "repro.pmw_linear/v2",
@@ -347,16 +311,8 @@ class PrivateMWLinear:
                 "max_updates": config.max_updates,
             },
             "noise_multiplier": self._sparse_vector.noise_multiplier,
-            "shards": self.shards,
-            "histogram_workers": self.histogram_workers,
-            "versioned_core": self.versioned_core,
             "backend": self.backend_name,
-            # One hypothesis representation: the raw log-domain core
-            # state (versioned) or the normalized weights (legacy).
-            "hypothesis_weights": (self._hypothesis.weights.tolist()
-                                   if self._core is None else None),
-            "hypothesis_core": (self._core.state_dict()
-                                if self._core is not None else None),
+            "hypothesis_core": self._core.state_dict(),
             "updates": self._updates,
             "queries": self._queries,
             "sparse_vector": self._sparse_vector.state_dict(),
@@ -395,27 +351,12 @@ class PrivateMWLinear:
             epsilon=config["epsilon"], delta=config["delta"],
             schedule=config["schedule"], max_updates=config["max_updates"],
             noise_multiplier=snapshot["noise_multiplier"],
-            shards=snapshot.get("shards"),
-            histogram_workers=snapshot.get("histogram_workers"),
-            # Pre-versioned-core snapshots restore onto the legacy path
-            # (they carry only normalized weights).
-            versioned_core=snapshot.get("versioned_core", False),
             backend=(backend if backend is not None
                      else snapshot.get("backend")),
             rng=rng,
         )
-        if mechanism._core is not None:
-            mechanism._core = LogHistogram.from_state(
-                dataset.universe, snapshot["hypothesis_core"],
-                backend=mechanism._backend)
-        else:
-            mechanism._hypothesis = hypothesis_histogram(
-                dataset.universe,
-                np.asarray(snapshot["hypothesis_weights"], dtype=float),
-                shards=snapshot.get("shards"),
-                workers=snapshot.get("histogram_workers"),
-                backend=mechanism._backend,
-            )
+        mechanism._core = restore_hypothesis(dataset.universe, snapshot,
+                                             backend=mechanism._backend)
         mechanism._updates = int(snapshot["updates"])
         mechanism._queries = int(snapshot["queries"])
         mechanism._sparse_vector.load_state_dict(snapshot["sparse_vector"])
@@ -505,9 +446,9 @@ class PrivateMWLinear:
         for j, query in enumerate(queries):
             if tables is not None:
                 hypothesis_answer = evaluator.answer(
-                    *self._hypothesis_state(), j)
+                    self._core.weights, self._core.version, j)
             else:  # bounded-memory path: same dots the scalar round does
-                hypothesis_answer = self._hypothesis_dot(query.table)
+                hypothesis_answer = self._core.dot(query.table)
             if self.halted:
                 if on_halt == "raise":
                     raise MechanismHalted(
@@ -532,18 +473,12 @@ class PrivateMWLinear:
             answers.append(answer)
         return answers
 
-    def _hypothesis_state(self) -> tuple[np.ndarray, int]:
-        """``(weights, version)`` for version-stamped batch evaluation."""
-        if self._core is not None:
-            return self._core.weights, self._core.version
-        return self._hypothesis.weights, self._updates
-
     def _hypothesis_answer(self, query: LinearQuery,
                            value: float | None = None) -> LinearAnswer:
         """Serve from the public hypothesis (free post-processing)."""
         self._queries += 1
         if value is None:
-            value = self._hypothesis_dot(query.table)
+            value = self._core.dot(query.table)
         return LinearAnswer(
             value=float(value),
             from_update=False, query_index=self._queries - 1,

@@ -140,9 +140,9 @@ def mw_step_inplace(hypothesis_core: LogHistogram,
 
     Both steps execute on the hypothesis's
     :class:`~repro.backend.base.ArrayBackend` (the accumulation and the
-    deferred normalization delegate to ``accumulate``/``fused_update``
-    and the shifted-exp materialization); this function stays
-    backend-agnostic — it only validates and fixes the sign.
+    deferred normalization delegate to ``accumulate`` and the
+    shifted-exp materialization); this function stays backend-agnostic —
+    it only validates and fixes the sign.
     """
     eta, scale = _checked_step(certificate, eta, scale)
     signed_eta = (eta if paper_sign else -eta) / scale

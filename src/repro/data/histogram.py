@@ -36,9 +36,9 @@ from repro.utils.validation import check_finite_array
 def mass_annihilation_error(detail: str) -> ValidationError:
     """The shared diagnostic for an update that zeroed every weight.
 
-    Raised (with a path-specific ``detail`` prefix) by the dense update,
-    the sharded update, and the log-domain accumulator's materialization
-    whenever no finite log-weight remains — instead of the opaque
+    Raised (with a path-specific ``detail`` prefix) by the immutable
+    update and the log-domain accumulator's materialization whenever no
+    finite log-weight remains — instead of the opaque
     empty-``np.max`` crash this situation used to produce.
     """
     return ValidationError(
@@ -121,10 +121,9 @@ class Histogram:
 
         The public constructor re-validates and copies (finiteness and
         sign masks, a clip, a division — several full-universe
-        temporaries). Internal producers — the sharded update and the
-        log-domain accumulator's ``freeze()`` — guarantee non-negative,
-        finite, unit-mass weights by construction, so they are adopted
-        in place. Callers with untrusted weights must use the
+        temporaries). The log-domain accumulator's ``freeze()``
+        guarantees non-negative, finite, unit-mass weights by
+        construction, so they are adopted in place. Callers with untrusted weights must use the
         constructor.
         """
         instance = cls.__new__(cls)
@@ -329,8 +328,9 @@ class Histogram:
         ``searchsorted`` per draw batch, instead of ``Generator.choice``'s
         per-call probability validation and cumsum. Serving-layer
         ``synthetic_dataset`` calls hit the same (immutable) histogram
-        repeatedly, which makes the amortization worthwhile; see
-        ``benchmarks/bench_serve_throughput.py`` for measured numbers.
+        repeatedly, which makes the amortization worthwhile;
+        ``tests/data/test_histogram.py`` pins the sampled law and the
+        table's reuse.
         """
         if n < 0:
             raise ValidationError(f"n must be non-negative, got {n}")

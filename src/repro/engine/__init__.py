@@ -29,9 +29,6 @@ update); the serving layer's batch planner hands mechanism lanes to the
 engine before executing them, and the serving gateway
 (:mod:`repro.serve.gateway`) coalesces queued concurrent requests into
 exactly such lanes.
-Large universes pair the engine with
-:class:`~repro.data.sharded.ShardedHistogram`, whose updates and
-reductions run shard-by-shard.
 
 Agreement with the scalar path is a contract, not an accident: every
 kernel computes the same quantity through a reassociated product, and

@@ -25,8 +25,9 @@ recomputes — **only the stale entries**, not the compiled layout:
 
 :class:`PrivateMWLinear` streams its batched ``answer_all`` through
 :meth:`answer` (its rounds consume answers one at a time, so it applies
-updates directly and lets lazy staleness do the rest); the hot-loop
-benchmark (``benchmarks/bench_hot_loop.py``) measures the win.
+updates directly and lets lazy staleness do the rest); the benchmark
+of record's ``linear_large`` workload (``perfbench/``) times it end to
+end.
 """
 
 from __future__ import annotations

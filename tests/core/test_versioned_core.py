@@ -55,12 +55,6 @@ class TestVersionCounter:
             after = mechanism.hypothesis_version
             assert after - before == (1 if answer.from_update else 0)
 
-    def test_legacy_path_reports_update_count(self, cube_dataset):
-        mechanism = make_mechanism(cube_dataset, versioned_core=False)
-        losses = random_quadratic_family(cube_dataset.universe, 4, rng=1)
-        mechanism.answer_all(losses, on_halt="hypothesis")
-        assert mechanism.hypothesis_version == mechanism.updates_performed
-
     def test_frozen_hypothesis_cached_per_version(self, cube_dataset):
         mechanism = make_mechanism(cube_dataset)
         assert mechanism.hypothesis is mechanism.hypothesis
@@ -159,26 +153,6 @@ class TestRoundCache:
     def test_warm_start_disabled_keeps_full_steps(self, cube_dataset):
         mechanism = make_mechanism(cube_dataset, warm_start=False)
         assert mechanism.warm_start is False
-        mechanism = make_mechanism(cube_dataset, versioned_core=False)
-        assert mechanism.warm_start is False  # requires the core
-
-
-class TestAnswerAgreement:
-    def test_versioned_matches_legacy_same_seed(self, cube_dataset):
-        losses = random_quadratic_family(cube_dataset.universe, 8, rng=6)
-        stream = losses + losses[:4]
-
-        def run(versioned):
-            mechanism = make_mechanism(cube_dataset, rng=11,
-                                       versioned_core=versioned,
-                                       warm_start=False)
-            return mechanism.answer_all(stream, on_halt="hypothesis")
-
-        lazy, eager = run(True), run(False)
-        assert [a.from_update for a in lazy] == \
-            [a.from_update for a in eager]
-        for a, b in zip(lazy, eager):
-            np.testing.assert_allclose(a.theta, b.theta, atol=1e-8)
 
 
 class TestSnapshotRestore:
@@ -221,7 +195,6 @@ class TestSnapshotRestore:
         restored = PrivateMWConvex.restore(state, concentrated_dataset,
                                            NonPrivateOracle(120))
         assert restored.hypothesis_version == mechanism.hypothesis_version
-        assert restored.versioned_core
         np.testing.assert_array_equal(restored.hypothesis.weights,
                                       mechanism.hypothesis.weights)
 
@@ -241,58 +214,12 @@ class TestSnapshotRestore:
             assert restored_version == version
             np.testing.assert_array_equal(restored_theta, theta)
 
-    def test_v1_snapshot_format_accepted(self, cube_dataset):
-        """Pre-versioned-core (v1) snapshots restore onto the legacy
-        path; the written format is v3 (RLE accountant records)."""
-        mechanism = make_mechanism(cube_dataset, versioned_core=False)
-        losses = random_quadratic_family(cube_dataset.universe, 2, rng=12)
-        mechanism.answer_all(losses, on_halt="hypothesis")
-        state = json.loads(json.dumps(mechanism.snapshot()))
-        assert state["format"] == "repro.pmw_cm/v3"
-        # Simulate a v1 snapshot: old format string, no v2-only fields.
-        state["format"] = "repro.pmw_cm/v1"
-        for key in ("versioned_core", "warm_start", "hypothesis_core",
-                    "warm_starts", "round_cache"):
-            state.pop(key, None)
-        restored = PrivateMWConvex.restore(state, cube_dataset,
-                                           NonPrivateOracle(120))
-        assert restored.versioned_core is False
-        np.testing.assert_allclose(restored.hypothesis.weights,
-                                   mechanism.hypothesis.weights)
-
-    def test_legacy_snapshot_restores_onto_legacy_path(self, cube_dataset):
-        mechanism = make_mechanism(cube_dataset, versioned_core=False)
-        losses = random_quadratic_family(cube_dataset.universe, 3, rng=10)
-        mechanism.answer_all(losses, on_halt="hypothesis")
-        state = json.loads(json.dumps(mechanism.snapshot()))
-        restored = PrivateMWConvex.restore(state, cube_dataset,
-                                           NonPrivateOracle(120))
-        assert restored.versioned_core is False
-        np.testing.assert_allclose(restored.hypothesis.weights,
-                                   mechanism.hypothesis.weights)
-
 
 class TestLinearVersionedCore:
     def make_queries(self, universe, k, rng):
         generator = np.random.default_rng(rng)
         return [LinearQuery(generator.random(universe.size), name=f"q{i}")
                 for i in range(k)]
-
-    def test_sharded_core_matches_dense(self, cube_universe):
-        rng = np.random.default_rng(1)
-        dataset = Dataset(cube_universe,
-                          rng.choice(cube_universe.size, size=300))
-        queries = self.make_queries(cube_universe, 16, rng=2)
-
-        def run(shards):
-            mechanism = PrivateMWLinear(dataset, alpha=0.2, epsilon=2.0,
-                                        max_updates=6, shards=shards,
-                                        rng=3)
-            return mechanism.answer_all(queries, on_halt="hypothesis")
-
-        dense, sharded = run(None), run(2)
-        for a, b in zip(dense, sharded):
-            assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_snapshot_round_trips_core(self, cube_universe):
         rng = np.random.default_rng(4)
@@ -304,7 +231,6 @@ class TestLinearVersionedCore:
         mechanism.answer_all(queries, on_halt="hypothesis")
         state = json.loads(json.dumps(mechanism.snapshot()))
         restored = PrivateMWLinear.restore(state, dataset)
-        assert restored.versioned_core
         assert restored.hypothesis_version == mechanism.hypothesis_version
         np.testing.assert_array_equal(restored.hypothesis.weights,
                                       mechanism.hypothesis.weights)

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
+from repro.backend.numpy_backend import BLOCK
 from repro.data.builders import interval_grid
 from repro.data.histogram import Histogram
-from repro.data.log_histogram import LogHistogram, hypothesis_core
-from repro.data.sharded import ShardedHistogram
+from repro.data.log_histogram import LogHistogram
 from repro.exceptions import ValidationError
 
 
@@ -49,20 +50,6 @@ class TestConstruction:
         core = LogHistogram.from_histogram(hist)
         np.testing.assert_allclose(core.weights, hist.weights, atol=1e-15)
 
-    def test_workers_require_shards(self, universe):
-        with pytest.raises(ValidationError, match="shard"):
-            LogHistogram.uniform(universe, workers=2)
-
-    def test_invalid_shard_count(self, universe):
-        with pytest.raises(ValidationError):
-            LogHistogram.uniform(universe, num_shards=0)
-
-    def test_hypothesis_core_helper(self, universe):
-        dense = hypothesis_core(universe)
-        sharded = hypothesis_core(universe, shards=4, workers=2)
-        assert dense.num_shards is None
-        assert sharded.num_shards == 4 and sharded.workers == 2
-
 
 class TestVersioning:
     def test_each_update_bumps_version(self, universe, directions):
@@ -91,12 +78,8 @@ class TestVersioning:
 
 
 class TestAgreementWithImmutablePath:
-    @pytest.mark.parametrize("num_shards,workers", [(None, None), (5, None),
-                                                    (5, 2)])
-    def test_update_chain_matches(self, universe, directions, num_shards,
-                                  workers):
-        core = LogHistogram.uniform(universe, num_shards=num_shards,
-                                    workers=workers)
+    def test_update_chain_matches(self, universe, directions):
+        core = LogHistogram.uniform(universe)
         updates = [(d, 0.25) for d in directions]
         for direction, eta in updates:
             core.apply_update(direction, eta)
@@ -123,6 +106,89 @@ class TestAgreementWithImmutablePath:
         assert core.weights.sum() == pytest.approx(1.0)
 
 
+def unblocked_update(backend, log_weights, direction, eta):
+    """One MW update as a single whole-vector expression."""
+    product = np.empty_like(log_weights)
+    np.multiply(backend.asarray(direction), eta, out=product)
+    log_weights += product
+
+
+def unblocked_weights(backend, log_weights):
+    """Max-shift, ``exp`` and normalize, each over the whole vector."""
+    shift = float(np.max(log_weights[np.isfinite(log_weights)]))
+    weights = np.empty_like(log_weights)
+    np.subtract(log_weights, shift, out=weights)
+    np.exp(weights, out=weights)
+    if backend.name == "float32":
+        total = float(weights.sum(dtype=np.float64))
+    else:
+        total = float(weights.sum())
+    weights /= total
+    return weights
+
+
+@pytest.mark.parametrize("backend", ["numpy", "float32"])
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  3 * BLOCK + 7])
+class TestAgreementWithUnblockedExpressions:
+    """A core's log-weights, weights and state are bitwise what the
+    whole-vector expressions give, across block boundaries and on both
+    NumPy backends — the blocked kernels are an implementation detail."""
+
+    @staticmethod
+    def updates(size, count=3):
+        rng = np.random.default_rng(size)
+        return [(rng.uniform(-1.0, 1.0, size), 0.3 * (k + 1) * (-1) ** k)
+                for k in range(count)]
+
+    def test_log_weights_from_the_shared_uniform(self, backend, size):
+        backend = get_backend(backend)
+        universe = interval_grid(size)
+        core = LogHistogram(universe, backend=backend)
+        shared = core._log_weights
+        before = shared.tobytes()
+        reference = np.full(size, -np.log(size), dtype=backend.dtype)
+        for direction, eta in self.updates(size):
+            core.apply_update(direction, eta)
+            unblocked_update(backend, reference, direction, eta)
+        assert core._log_weights.tobytes() == reference.tobytes()
+        assert (core.state_dict()["log_weights"]
+                == reference.astype(np.float64).tolist())
+        assert shared.tobytes() == before
+
+    def test_weights_at_every_version(self, backend, size):
+        backend = get_backend(backend)
+        universe = interval_grid(size)
+        core = LogHistogram(universe, backend=backend)
+        reference = np.full(size, -np.log(size), dtype=backend.dtype)
+        assert (core.weights.tobytes()
+                == unblocked_weights(backend, reference).tobytes())
+        for direction, eta in self.updates(size):
+            core.apply_update(direction, eta)
+            unblocked_update(backend, reference, direction, eta)
+            expected = unblocked_weights(backend, reference)
+            assert core.weights.dtype == expected.dtype
+            assert core.weights.tobytes() == expected.tobytes()
+
+    def test_zero_weight_cells(self, backend, size):
+        backend = get_backend(backend)
+        universe = interval_grid(size)
+        weights = np.random.default_rng(size + 1).random(size) + 0.5
+        zero = np.arange(size) % 7 == 3
+        zero[[i for i in (BLOCK - 1, BLOCK, size - 1) if 0 < i < size]] = True
+        weights[zero] = 0.0
+        core = LogHistogram(universe, weights, backend=backend)
+        reference = backend.from_float64(
+            np.asarray(core.state_dict()["log_weights"]))
+        for direction, eta in self.updates(size):
+            core.apply_update(direction, eta)
+            unblocked_update(backend, reference, direction, eta)
+        assert core._log_weights.tobytes() == reference.tobytes()
+        assert (core.weights.tobytes()
+                == unblocked_weights(backend, reference).tobytes())
+        assert (core.weights[zero] == 0.0).all()
+
+
 class TestFreeze:
     def test_frozen_view_cached_per_version(self, universe, directions):
         core = LogHistogram.uniform(universe)
@@ -141,11 +207,8 @@ class TestFreeze:
             core.freeze()
         np.testing.assert_array_equal(frozen.weights, pinned)
 
-    def test_frozen_type_matches_layout(self, universe):
+    def test_frozen_view_is_a_histogram(self, universe):
         assert type(LogHistogram.uniform(universe).freeze()) is Histogram
-        sharded = LogHistogram.uniform(universe, num_shards=4).freeze()
-        assert isinstance(sharded, ShardedHistogram)
-        assert sharded.num_shards == 4
 
     def test_frozen_weights_read_only(self, universe):
         frozen = LogHistogram.uniform(universe).freeze()
@@ -181,19 +244,28 @@ class TestAnnihilation:
 
 
 class TestSnapshotRestore:
-    @pytest.mark.parametrize("num_shards,workers", [(None, None), (3, 2)])
-    def test_state_round_trips_bitwise(self, universe, directions,
-                                       num_shards, workers):
-        core = LogHistogram.uniform(universe, num_shards=num_shards,
-                                    workers=workers)
+    @pytest.mark.parametrize("backend", ["numpy", "float32"])
+    def test_state_round_trips_bitwise(self, universe, directions, backend):
+        core = LogHistogram(universe, backend=backend)
         for direction in directions[:4]:
             core.apply_update(direction, 0.4)
         state = json.loads(json.dumps(core.state_dict()))
-        restored = LogHistogram.from_state(universe, state)
+        assert set(state) == {"version", "log_weights"}
+        restored = LogHistogram.from_state(universe, state, backend=backend)
         assert restored.version == core.version
-        assert restored.num_shards == core.num_shards
-        assert restored.workers == core.workers
         np.testing.assert_array_equal(restored.weights, core.weights)
+
+    def test_shard_settings_in_a_state_are_not_read(self, universe,
+                                                    directions):
+        """States written with shard settings hold the same log-weights
+        as dense ones; the extra keys restore to the same core."""
+        core = LogHistogram.uniform(universe)
+        for direction in directions[:3]:
+            core.apply_update(direction, 0.4)
+        state = dict(core.state_dict(), num_shards=3, workers=2)
+        restored = LogHistogram.from_state(universe, state)
+        assert restored.state_dict() == core.state_dict()
+        assert restored.weights.tobytes() == core.weights.tobytes()
 
     def test_restore_then_update_matches_uninterrupted(self, universe,
                                                        directions):
@@ -262,14 +334,12 @@ class TestSharedUniformStart:
     same bits as updating a private uniform buffer in place."""
 
     @staticmethod
-    def private_buffer_state(universe, updates, num_shards=None,
-                             workers=None):
+    def private_buffer_state(universe, updates):
         """``state_dict()`` of a core that owned its uniform start."""
         log_weights = np.full(universe.size, -np.log(universe.size))
         for direction, eta in updates:
             log_weights += direction * eta
-        return {"version": len(updates), "log_weights": log_weights.tolist(),
-                "num_shards": num_shards, "workers": workers}
+        return {"version": len(updates), "log_weights": log_weights.tolist()}
 
     @pytest.mark.parametrize("backend", ["numpy", "float32"])
     def test_cores_on_one_universe_share_version_zero(self, universe,
@@ -299,19 +369,16 @@ class TestSharedUniformStart:
         assert first._log_weights is not shared
         assert first._log_weights.flags.writeable
 
-    @pytest.mark.parametrize("num_shards,workers", [(None, None), (3, 2)])
     def test_state_dict_bytes_match_a_private_buffer(self, universe,
-                                                     directions, num_shards,
-                                                     workers):
-        core = LogHistogram.uniform(universe, num_shards=num_shards,
-                                    workers=workers)
+                                                     directions):
+        core = LogHistogram.uniform(universe)
         updates = [(direction, 0.3 * (1 + k % 3))
                    for k, direction in enumerate(directions[:5])]
         for applied in range(len(updates) + 1):
             if applied:
                 core.apply_update(*updates[applied - 1])
-            expected = self.private_buffer_state(
-                universe, updates[:applied], num_shards, workers)
+            expected = self.private_buffer_state(universe,
+                                                 updates[:applied])
             assert (json.dumps(core.state_dict())
                     == json.dumps(expected))
 
@@ -330,10 +397,10 @@ class TestSharedUniformStart:
         assert resumed.weights.tobytes() == uninterrupted.weights.tobytes()
         assert resumed.state_dict() == uninterrupted.state_dict()
 
-    def test_concurrent_cores_and_shard_passes(self):
+    def test_concurrent_cores_on_one_shared_uniform(self):
         """More threads than cores open cores on one universe and update
-        them while their shard passes run on a pool: every core ends on
-        its reference bits and the shared vector never changes."""
+        them concurrently: every core ends on its reference bits and the
+        shared vector never changes."""
         import os
         import sys
         import threading
@@ -346,13 +413,13 @@ class TestSharedUniformStart:
                       for _ in range(2 * (os.cpu_count() or 1) + 2)]
         shared = LogHistogram.uniform(universe)._log_weights
         before = shared.tobytes()
-        expected = [self.private_buffer_state(universe, [(d, 0.6), (d, 0.2)],
-                                              8, 4)["log_weights"]
+        expected = [self.private_buffer_state(
+                        universe, [(d, 0.6), (d, 0.2)])["log_weights"]
                     for d in directions]
         results = [None] * len(directions)
 
         def work(index):
-            core = LogHistogram.uniform(universe, num_shards=8, workers=4)
+            core = LogHistogram.uniform(universe)
             core.apply_update(directions[index], 0.6)
             core.apply_update(directions[index], 0.2)
             results[index] = core.state_dict()["log_weights"]

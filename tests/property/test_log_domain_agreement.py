@@ -5,12 +5,15 @@ The versioned :class:`~repro.data.log_histogram.LogHistogram` accumulates
 :class:`~repro.data.histogram.Histogram` normalizes on every update. The
 two must agree — on weights, on query answers, and on the KL potential of
 the MW analysis — to ``1e-10`` across randomized update sequences, with
-snapshot/restore splicing allowed anywhere in the sequence.
+snapshot/restore splicing allowed anywhere in the sequence. The
+mechanisms' own update streams, replayed through the immutable chain,
+must land on the same hypothesis too.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -44,11 +47,9 @@ weight_arrays = hnp.arrays(
 ).filter(lambda w: w.sum() > 1e-6)
 
 
-def run_both(weights, updates, *, num_shards=None, workers=None,
-             snapshot_at=None):
+def run_both(weights, updates, *, snapshot_at=None):
     immutable = Histogram(UNIVERSE, weights)
-    core = LogHistogram(UNIVERSE, weights, num_shards=num_shards,
-                        workers=workers)
+    core = LogHistogram(UNIVERSE, weights)
     for index, (direction, eta) in enumerate(updates):
         if snapshot_at is not None and index == snapshot_at:
             state = json.loads(json.dumps(core.state_dict()))
@@ -103,42 +104,67 @@ class TestLogDomainAgreement:
         assert core.version == len(updates)
         assert np.max(np.abs(core.weights - immutable.weights)) <= 1e-10
 
-    @given(weights=weight_arrays, updates=update_sequences)
-    @settings(max_examples=25, deadline=None)
-    def test_sharded_core_matches_dense_core(self, weights, updates):
-        _, dense = run_both(weights, updates)
-        _, sharded = run_both(weights, updates, num_shards=5)
-        np.testing.assert_array_equal(sharded.weights, dense.weights)
+
+def recorded_updates(monkeypatch):
+    """Spy on ``LogHistogram.apply_update``: every ``(direction, eta)``
+    a mechanism applies to its core, in order."""
+    calls = []
+    real = LogHistogram.apply_update
+
+    def spy(core, direction, eta):
+        calls.append((np.array(direction, dtype=float), float(eta)))
+        return real(core, direction, eta)
+
+    monkeypatch.setattr(LogHistogram, "apply_update", spy)
+    return calls
 
 
-class TestMechanismLevelAgreement:
-    def test_linear_mechanism_versions_agree(self):
-        """Same seed, versioned vs legacy PMW-linear: identical noise
-        stream, near-identical released answers (the two hypothesis
-        representations differ only by deferred-normalization float
-        error)."""
+def immutable_replay(universe, calls):
+    """The same update stream through the immutable MW step."""
+    histogram = Histogram.uniform(universe)
+    for direction, eta in calls:
+        histogram = histogram.multiplicative_update(direction, eta)
+    return histogram
+
+
+class TestMechanismReplay:
+    """A mechanism's final hypothesis equals its own update stream
+    replayed through :meth:`Histogram.multiplicative_update`."""
+
+    def test_linear_mechanism_matches_its_replay(self, monkeypatch):
         from repro.core.pmw_linear import PrivateMWLinear
         from repro.data.dataset import Dataset
         from repro.losses.linear import LinearQuery
 
         rng = np.random.default_rng(5)
         dataset = Dataset(UNIVERSE,
-                          rng.choice(SIZE, size=400,
-                                     p=DATA.weights))
-        queries = [
-            LinearQuery(np.clip(rng.random(SIZE), 0.0, 1.0),
-                        name=f"q{i}")
-            for i in range(20)
-        ]
+                          rng.choice(SIZE, size=400, p=DATA.weights))
+        queries = [LinearQuery(rng.random(SIZE), name=f"q{i}")
+                   for i in range(20)]
+        calls = recorded_updates(monkeypatch)
+        mechanism = PrivateMWLinear(dataset, alpha=0.2, epsilon=2.0,
+                                    max_updates=8, rng=9)
+        mechanism.answer_all(queries, on_halt="hypothesis")
+        assert len(calls) == mechanism.updates_performed > 0
+        replay = immutable_replay(UNIVERSE, calls)
+        assert np.max(np.abs(mechanism.hypothesis.weights
+                             - replay.weights)) <= 1e-10
 
-        def run(versioned):
-            mechanism = PrivateMWLinear(dataset, alpha=0.2, epsilon=2.0,
-                                        max_updates=8,
-                                        versioned_core=versioned, rng=9)
-            return mechanism.answer_all(queries, on_halt="hypothesis")
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_cm_mechanism_matches_its_replay(self, monkeypatch,
+                                             cube_dataset, seed):
+        from repro.core.pmw_cm import PrivateMWConvex
+        from repro.erm.oracle import NonPrivateOracle
+        from repro.losses.families import random_quadratic_family
 
-        lazy, eager = run(True), run(False)
-        assert [a.from_update for a in lazy] == \
-            [a.from_update for a in eager]
-        for a, b in zip(lazy, eager):
-            assert abs(a.value - b.value) <= 1e-9
+        losses = random_quadratic_family(cube_dataset.universe, 8, rng=6)
+        calls = recorded_updates(monkeypatch)
+        mechanism = PrivateMWConvex(
+            cube_dataset, NonPrivateOracle(120), scale=4.0, alpha=0.3,
+            beta=0.1, epsilon=2.0, delta=1e-6, max_updates=10,
+            solver_steps=120, rng=seed)
+        mechanism.answer_all(losses + losses[:4], on_halt="hypothesis")
+        assert len(calls) == mechanism.updates_performed > 0
+        replay = immutable_replay(cube_dataset.universe, calls)
+        assert np.max(np.abs(mechanism.hypothesis.weights
+                             - replay.weights)) <= 1e-10
